@@ -23,7 +23,6 @@ type serverProc struct {
 	debug   string // http://127.0.0.1:port of -debug-addr
 	exited  chan struct{}
 	exitErr error
-	logPath string
 }
 
 // freePort asks the kernel for an unused loopback port.
@@ -65,11 +64,10 @@ func startServer(bin, dataDir, logPath string, args []string) (*serverProc, time
 	cmd.Stderr = logf
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	p := &serverProc{
-		cmd:     cmd,
-		base:    fmt.Sprintf("http://127.0.0.1:%d", port),
-		debug:   fmt.Sprintf("http://127.0.0.1:%d", dport),
-		exited:  make(chan struct{}),
-		logPath: logPath,
+		cmd:    cmd,
+		base:   fmt.Sprintf("http://127.0.0.1:%d", port),
+		debug:  fmt.Sprintf("http://127.0.0.1:%d", dport),
+		exited: make(chan struct{}),
 	}
 	start := time.Now()
 	if err := cmd.Start(); err != nil {

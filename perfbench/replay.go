@@ -47,13 +47,10 @@ type stack struct {
 	base  core.Config
 	tr    *tracer // nil: no spans
 
-	// hooks counts and times the store's loader, appender, compactor
-	// and persister calls.
-	hooks struct {
-		mu                                        sync.Mutex
-		loads, appends, compactCalls, compactions int
-		persists                                  int
-	}
+	// hooks counts the store's loader, appender, compactor and
+	// persister calls; their spans time them.
+	hooksMu sync.Mutex
+	hooks   hookCounts
 
 	// seeds mirrors the API's plan-seed map (server.API.planFor), so a
 	// replayed build extends or reuses a plan exactly when the served
@@ -126,9 +123,9 @@ func (s *stack) loader(fn func(string) (*etl.VehicleDataset, error)) func(string
 		sp := s.tr.begin("fstore.load")
 		d, err := fn(id)
 		s.tr.end(sp)
-		s.hooks.mu.Lock()
+		s.hooksMu.Lock()
 		s.hooks.loads++
-		s.hooks.mu.Unlock()
+		s.hooksMu.Unlock()
 		return d, err
 	}
 }
@@ -138,9 +135,9 @@ func (s *stack) appender(fn func(string, ...fstore.Day) error) func(string, ...f
 		sp := s.tr.begin("fstore.append")
 		err := fn(id, days...)
 		s.tr.end(sp)
-		s.hooks.mu.Lock()
+		s.hooksMu.Lock()
 		s.hooks.appends++
-		s.hooks.mu.Unlock()
+		s.hooksMu.Unlock()
 		return err
 	}
 }
@@ -150,12 +147,11 @@ func (s *stack) compactor(fn func(*etl.VehicleDataset) (bool, error)) func(*etl.
 		sp := s.tr.begin("fstore.compact")
 		ok, err := fn(d)
 		s.tr.end(sp)
-		s.hooks.mu.Lock()
-		s.hooks.compactCalls++
 		if ok {
+			s.hooksMu.Lock()
 			s.hooks.compactions++
+			s.hooksMu.Unlock()
 		}
-		s.hooks.mu.Unlock()
 		return ok, err
 	}
 }
@@ -165,9 +161,9 @@ func (s *stack) persister(fn func(*etl.VehicleDataset) error) func(*etl.VehicleD
 		sp := s.tr.begin("fstore.persist")
 		err := fn(d)
 		s.tr.end(sp)
-		s.hooks.mu.Lock()
+		s.hooksMu.Lock()
 		s.hooks.persists++
-		s.hooks.mu.Unlock()
+		s.hooksMu.Unlock()
 		return err
 	}
 }
@@ -175,9 +171,9 @@ func (s *stack) persister(fn func(*etl.VehicleDataset) error) func(*etl.VehicleD
 type hookCounts struct{ loads, appends, compactions, persists int }
 
 func (s *stack) hookCounts() hookCounts {
-	s.hooks.mu.Lock()
-	defer s.hooks.mu.Unlock()
-	return hookCounts{s.hooks.loads, s.hooks.appends, s.hooks.compactions, s.hooks.persists}
+	s.hooksMu.Lock()
+	defer s.hooksMu.Unlock()
+	return s.hooks
 }
 
 // The payloads the handlers encode, field for field.

@@ -14,8 +14,10 @@ fi
 
 work="$PWD/.bench_build"
 mkdir -p "$work/bin" "$work/tmp"
+# The go command's caches, temporary files and telemetry counters (kept
+# under the user config directory) all stay inside the checkout.
 export GOCACHE="$work/gocache" GOPATH="$work/gopath" GOTMPDIR="$work/tmp" TMPDIR="$work/tmp"
-export GOTOOLCHAIN=local GOFLAGS=-buildvcs=false
+export XDG_CONFIG_HOME="$work/config" GOTOOLCHAIN=local GOFLAGS=-buildvcs=false
 
 go build -o "$work/bin/vup-server" ./cmd/vup-server
 (cd perfbench && go build -o "$work/bin/perfbench" .)
