@@ -617,7 +617,7 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 	}
 	defer replayed.close()
 
-	handlerDone := make(chan time.Duration, 1)
+	handlerDone := make(chan interval, 1)
 	h := served.api.Handler()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -627,7 +627,7 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 		t0 := time.Now()
 		h.ServeHTTP(w, r)
 		if r.URL.Path != "/metrics" && r.URL.Path != "/healthz" { // the benchmark's own scrapes
-			handlerDone <- time.Since(t0)
+			handlerDone <- interval{t0, time.Since(t0)}
 		}
 	})}
 	serveDone := make(chan struct{})
@@ -645,12 +645,12 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 	ctx := context.Background()
 	buf := new(bytes.Buffer)
 
-	awaitHandler := func() (time.Duration, error) {
+	awaitHandler := func() (interval, error) {
 		select {
-		case d := <-handlerDone:
-			return d, nil
+		case h := <-handlerDone:
+			return h, nil
 		case <-time.After(30 * time.Second):
-			return 0, fmt.Errorf("handler span never ended")
+			return interval{}, fmt.Errorf("handler span never ended")
 		}
 	}
 	for i, cl := range b.warm {
@@ -669,7 +669,7 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("warm-up replay %s: %w", cl.path(), err)
 		}
-		if _, err := tr.finishCall(0, 0); err != nil {
+		if _, err := tr.finishCall(interval{}, interval{}); err != nil {
 			return nil, err
 		}
 	}
@@ -693,8 +693,8 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 		for j, cl := range o.calls {
 			t0 := time.Now()
 			tp.results[i][j] = c.do(cl, buf)
-			rt := time.Since(t0)
-			hd, err := awaitHandler()
+			rt := interval{t0, time.Since(t0)}
+			h, err := awaitHandler()
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", cl.path(), err)
 			}
@@ -706,7 +706,7 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 			if err != nil {
 				return nil, fmt.Errorf("replay %s: %w", cl.path(), err)
 			}
-			self, err := tr.finishCall(hd, rt)
+			self, err := tr.finishCall(h, rt)
 			if err != nil {
 				return nil, err
 			}
@@ -721,10 +721,10 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 				tp.self[name] += d
 				attributed += d
 			}
-			tp.other += hd - attributed
-			tp.handler += hd
-			tp.roundTrip += rt
-			opRT += rt
+			tp.other += h.dur - attributed
+			tp.handler += h.dur
+			tp.roundTrip += rt.dur
+			opRT += rt.dur
 		}
 		tp.opRoundTrip = append(tp.opRoundTrip, opRT)
 	}

@@ -519,11 +519,15 @@ type tracer struct {
 	all    []span
 }
 
+// span is one line of the span file. Each call has a client round trip
+// (id -2, no parent: -3) containing the served handler span (id -1);
+// the replayed layer spans follow it in time and hang off it (parent
+// -1) or off each other, which is what attributes them to it.
 type span struct {
 	Op      int     `json:"op"`
 	Call    int     `json:"call"`
 	ID      int     `json:"id"`
-	Parent  int     `json:"parent"` // -1: child of the call's handler span
+	Parent  int     `json:"parent"`
 	Name    string  `json:"name"`
 	StartUS float64 `json:"start_us"`
 	DurUS   float64 `json:"dur_us"`
@@ -572,9 +576,15 @@ func (t *tracer) startCall(op, call int) {
 	t.cur, t.starts, t.open = t.cur[:0], t.starts[:0], t.open[:0]
 }
 
+// interval is a start time and a duration.
+type interval struct {
+	start time.Time
+	dur   time.Duration
+}
+
 // finishCall returns the self time of each layer in the call: a span's
 // duration minus its children's. Every span must have ended.
-func (t *tracer) finishCall(handler, roundTrip time.Duration) (map[string]time.Duration, error) {
+func (t *tracer) finishCall(handler, roundTrip interval) (map[string]time.Duration, error) {
 	if len(t.open) != 0 {
 		return nil, fmt.Errorf("span %q never ended", t.cur[t.open[0]].Name)
 	}
@@ -586,9 +596,14 @@ func (t *tracer) finishCall(handler, roundTrip time.Duration) (map[string]time.D
 		}
 	}
 	if t.on {
+		us := func(iv interval) (start, dur float64) {
+			return float64(iv.start.Sub(t.t0)) / 1e3, float64(iv.dur) / 1e3
+		}
+		rs, rd := us(roundTrip)
+		hs, hd := us(handler)
 		t.all = append(t.all,
-			span{Op: t.op, Call: t.call, ID: -2, Parent: -3, Name: "client.round_trip", DurUS: float64(roundTrip) / 1e3},
-			span{Op: t.op, Call: t.call, ID: -1, Parent: -2, Name: "server.handler", DurUS: float64(handler) / 1e3})
+			span{Op: t.op, Call: t.call, ID: -2, Parent: -3, Name: "client.round_trip", StartUS: rs, DurUS: rd},
+			span{Op: t.op, Call: t.call, ID: -1, Parent: -2, Name: "server.handler", StartUS: hs, DurUS: hd})
 		t.all = append(t.all, t.cur...)
 	}
 	return self, nil
