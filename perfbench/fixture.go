@@ -45,7 +45,8 @@ type stampEntry struct {
 const stampName = "perfbench-stamp.json"
 
 // sourceKey hashes go.mod and every non-test Go file of the module
-// outside the benchmark's own directories.
+// outside the benchmark's own directory and hidden directories (the
+// build directory among them).
 func sourceKey(root string) (string, error) {
 	var paths []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -54,7 +55,7 @@ func sourceKey(root string) (string, error) {
 		}
 		rel, _ := filepath.Rel(root, p)
 		if d.IsDir() {
-			if rel == "perfbench" || rel == ".bench_build" || strings.HasPrefix(d.Name(), ".") && rel != "." {
+			if rel == "perfbench" || strings.HasPrefix(d.Name(), ".") && rel != "." {
 				return filepath.SkipDir
 			}
 			return nil

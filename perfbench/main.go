@@ -216,7 +216,7 @@ func (b *bench) timedPhase(ops []op, boots int) (*serverRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, start, err := startServer(b.bin, dataDir, filepath.Join(b.scratch, fmt.Sprintf("server-%d.log", k)), b.w.args)
+		p, start, err := startServer(b.bin, dataDir, filepath.Join(b.scratch, fmt.Sprintf("server-%d.log", k)), b.w.serverArgs())
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"sort"
+	"strconv"
 	"time"
 
 	"vup/internal/etl"
@@ -15,9 +16,6 @@ import (
 type workload struct {
 	name    string
 	fixture fixture
-	// args are the vup-server flags beyond the address, data directory
-	// and tracing flags every run passes.
-	args []string
 	// perSecond sets the fixed operation count of a run: perSecond x
 	// --seconds operations (capped at maxOps when set). For the open-loop
 	// workload it is also the arrival rate.
@@ -31,13 +29,23 @@ type workload struct {
 	// that two in-process stacks fit in memory. ingest-visible sends all
 	// of them, or too few batches reach a vehicle's compaction threshold.
 	tracedShare int
-	// lazy and budget mirror -lazy-load and -resident-budget for the
-	// in-process stacks of the traced run; cacheSize and compact mirror
-	// -cache-size and -compact-threshold.
+	// lazy, budget, cacheSize and compact configure the server:
+	// -lazy-load, -resident-budget, -cache-size and -compact-threshold
+	// for the binary, the same settings for the in-process stacks.
 	lazy      bool
 	budget    int64
 	cacheSize int
 	compact   int
+}
+
+// serverArgs are the vup-server flags beyond the address, data directory
+// and tracing flags every run passes.
+func (w workload) serverArgs() []string {
+	args := []string{"-cache-size", strconv.Itoa(w.cacheSize), "-compact-threshold", strconv.Itoa(w.compact)}
+	if w.lazy {
+		args = append(args, "-lazy-load", "-resident-budget", strconv.FormatInt(w.budget, 10))
+	}
+	return args
 }
 
 const (
@@ -51,7 +59,6 @@ var workloads = []workload{
 	{
 		name:        "forecast-hot",
 		fixture:     smallFixture,
-		args:        []string{"-cache-size", "256"},
 		perSecond:   4000,
 		conns:       1,
 		tracedShare: 4,
@@ -61,7 +68,6 @@ var workloads = []workload{
 	{
 		name:        "forecast-cold",
 		fixture:     studyFixture,
-		args:        []string{"-lazy-load", "-resident-budget", fmt.Sprint(coldBudget), "-cache-size", "256"},
 		perSecond:   100,
 		conns:       1,
 		tracedShare: 4,
@@ -73,7 +79,6 @@ var workloads = []workload{
 	{
 		name:        "ingest-visible",
 		fixture:     smallFixture,
-		args:        []string{"-compact-threshold", fmt.Sprint(compactEvery), "-cache-size", "256"},
 		perSecond:   40,
 		openLoop:    true,
 		conns:       2,
@@ -84,7 +89,6 @@ var workloads = []workload{
 	{
 		name:        "evaluation",
 		fixture:     smallFixture,
-		args:        []string{"-cache-size", "256"},
 		perSecond:   12,
 		maxOps:      120,
 		conns:       1,
