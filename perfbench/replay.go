@@ -304,6 +304,7 @@ func (s *stack) evaluation(ctx context.Context, c call) ([]byte, error) {
 	defer release()
 	cfg := s.base
 	cfg.Algorithm = regress.Algorithm(c.alg)
+	cfg.Stride = evalStride
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -53,6 +53,10 @@ const (
 	compactEvery   = 8          // append-log records per vehicle before compaction
 	hotHorizonStep = 5          // every 5th hot request asks for ?horizon=7
 	hotHorizon     = 7
+	// evalStride is the evaluation requests' ?stride=: every 10th
+	// hold-out window, 61 refits per request. It halves the server's
+	// default of 5, so ten evaluation runs take minutes, not ten.
+	evalStride = 10
 )
 
 var workloads = []workload{
@@ -150,7 +154,7 @@ func (c call) path() string {
 		}
 		return "/v1/vehicles/" + c.vehicle + "/forecast"
 	case kEvaluation:
-		return "/v1/vehicles/" + c.vehicle + "/evaluation?alg=" + c.alg
+		return fmt.Sprintf("/v1/vehicles/%s/evaluation?alg=%s&stride=%d", c.vehicle, c.alg, evalStride)
 	case kIngest:
 		return "/v1/vehicles/" + c.vehicle + "/ingest"
 	default:
