@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -25,7 +26,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -783,18 +783,17 @@ func (b *bench) writeSpans(tr *tracer) error {
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	sort.SliceStable(tr.all, func(i, j int) bool {
-		if tr.all[i].Op != tr.all[j].Op {
-			return tr.all[i].Op < tr.all[j].Op
-		}
-		return tr.all[i].Call < tr.all[j].Call
-	})
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
 	for _, sp := range tr.all {
 		if err := enc.Encode(sp); err != nil {
 			f.Close()
 			return err
 		}
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return err

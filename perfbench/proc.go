@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -25,31 +26,49 @@ type serverProc struct {
 	exitErr error
 }
 
-// freePort asks the kernel for an unused loopback port.
-func freePort() (int, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return 0, err
+// freePorts asks the kernel for n distinct unused loopback ports. The
+// listeners stay open until all n are chosen, so the kernel cannot hand
+// out the same port twice.
+func freePorts(n int) ([]int, error) {
+	ports := make([]int, 0, n)
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer l.Close()
+		ports = append(ports, l.Addr().(*net.TCPAddr).Port)
 	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port, nil
+	return ports, nil
 }
 
 // healthPoll is the /healthz poll interval during boot. It is far below
 // any boot time, so the interval is not what setup_s measures.
 const healthPoll = 100 * time.Microsecond
 
+// errPortTaken marks a boot that failed because another process bound
+// one of the chosen ports between choosing and binding.
+var errPortTaken = errors.New("port taken")
+
 // startServer execs vup-server with tracing off and -debug-addr on, and
-// returns once /healthz answers 200. The clock starts just before exec.
+// returns once /healthz answers 200. The clock starts just before the
+// exec of the boot that succeeded: a boot that lost its port to another
+// process is retried on fresh ports.
 func startServer(bin, dataDir, logPath string, args []string) (*serverProc, time.Time, error) {
-	port, err := freePort()
+	for attempt := 1; ; attempt++ {
+		p, start, err := bootServer(bin, dataDir, logPath, args)
+		if !errors.Is(err, errPortTaken) || attempt == 3 {
+			return p, start, err
+		}
+	}
+}
+
+func bootServer(bin, dataDir, logPath string, args []string) (*serverProc, time.Time, error) {
+	ports, err := freePorts(2)
 	if err != nil {
 		return nil, time.Time{}, err
 	}
-	dport, err := freePort()
-	if err != nil {
-		return nil, time.Time{}, err
-	}
+	port, dport := ports[0], ports[1]
 	full := append([]string{
 		"-addr", fmt.Sprintf("127.0.0.1:%d", port),
 		"-debug-addr", fmt.Sprintf("127.0.0.1:%d", dport),
@@ -92,7 +111,11 @@ func startServer(bin, dataDir, logPath string, args []string) (*serverProc, time
 		}
 		select {
 		case <-p.exited:
-			return nil, start, fmt.Errorf("vup-server exited during boot (%v); log: %s", p.exitErr, tail(logPath))
+			log := tail(logPath)
+			if strings.Contains(log, "address already in use") {
+				return nil, start, fmt.Errorf("%w: %s", errPortTaken, log)
+			}
+			return nil, start, fmt.Errorf("vup-server exited during boot (%v); log: %s", p.exitErr, log)
 		default:
 		}
 		if time.Now().After(deadline) {
@@ -257,7 +280,9 @@ func scrape(c *http.Client, base, debug string) (counters, error) {
 		}
 		// A declared counter without a sample has never been
 		// incremented; that is a real zero.
-		out[name] += 0
+		if _, ok := out[name]; !ok {
+			out[name] = 0
+		}
 	}
 
 	body, err = get(c, base+"/healthz")
