@@ -77,7 +77,7 @@ type bench struct {
 	work    string
 
 	fixtures string // directory holding the verified fixture stores
-	scratch  string // this run's server stores and logs
+	runDir   string // this run's server stores and logs
 	fleet    fleetInfo
 	warm     []call
 	ops      []op
@@ -139,11 +139,11 @@ func (b *bench) run(traced bool) (*outcome, error) {
 	if b.fixtures, err = ensureFixtures(root, b.work); err != nil {
 		return nil, err
 	}
-	b.scratch = filepath.Join(b.work, fmt.Sprintf("run-%d", os.Getpid()))
-	if err := os.MkdirAll(b.scratch, 0o755); err != nil {
+	b.runDir = filepath.Join(b.work, fmt.Sprintf("run-%d", os.Getpid()))
+	if err := os.MkdirAll(b.runDir, 0o755); err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(b.scratch)
+	defer os.RemoveAll(b.runDir)
 	if err := b.loadFleet(); err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func (b *bench) storeFor(tag string) (string, error) {
 	if b.w.lazy {
 		return b.fixturePath(), nil
 	}
-	dst := filepath.Join(b.scratch, tag)
+	dst := filepath.Join(b.runDir, tag)
 	return dst, copyStore(b.fixturePath(), dst)
 }
 
@@ -216,7 +216,7 @@ func (b *bench) timedPhase(ops []op, boots int) (*serverRun, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, start, err := startServer(b.bin, dataDir, filepath.Join(b.scratch, fmt.Sprintf("server-%d.log", k)), b.w.serverArgs())
+		p, start, err := startServer(b.bin, dataDir, filepath.Join(b.runDir, fmt.Sprintf("server-%d.log", k)), b.w.serverArgs())
 		if err != nil {
 			return nil, err
 		}

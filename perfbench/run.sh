@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Builds vup-server and the benchmark driver from the checkout this is run
+# Builds vup-server and the benchmark program from the checkout this is run
 # in, then runs one workload. Run it from the root of the checkout:
 #
 #   bash perfbench/run.sh --workload forecast-hot --seed 1 --seconds 10 --trace 0
 #
-# Every build product, fixture and scratch file goes under .bench_build/.
+# Every build product, fixture and per-run file goes under .bench_build/.
 set -euo pipefail
 
 if [[ ! -f go.mod || ! -d cmd/vup-server || ! -f perfbench/go.mod ]]; then
