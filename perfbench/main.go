@@ -36,7 +36,7 @@ import (
 
 // setups is how many times a timed run boots the server; setup_s is
 // the median.
-const setups = 5
+const setups = 15
 
 func logf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "perfbench: "+format+"\n", args...)
@@ -373,6 +373,10 @@ func (b *bench) verifyAnswers(phase string, ops []op, results [][]result, answer
 type workloadStats struct {
 	hitRatio, loadsPerReq, extendRatio, fitsPerReq float64
 	compactions                                    float64
+	// lazy, resident and total are /healthz's lazy_load,
+	// resident_vehicles and total_vehicles at the end of the phase.
+	lazy            bool
+	resident, total float64
 }
 
 // selfCheck fails the run when the workload stops stressing the layer
@@ -385,8 +389,11 @@ func (b *bench) selfCheck(st workloadStats) error {
 		if st.hitRatio < 0.99 {
 			fail("cache hit ratio %.4f < 0.99: forecast-hot no longer serves from cache", st.hitRatio)
 		}
-		if st.loadsPerReq != 0 {
-			fail("%.4f fstore loads per request: forecast-hot must not fault vehicles", st.loadsPerReq)
+		// An eager store has no loader, so fstore loads are 0 by
+		// construction; what can break is the boot mode itself.
+		if st.lazy || st.resident != st.total {
+			fail("/healthz lazy_load=%t resident_vehicles=%.0f total_vehicles=%.0f: forecast-hot must serve a fully resident eager store",
+				st.lazy, st.resident, st.total)
 		}
 	case "forecast-cold":
 		if st.hitRatio > 0.15 {
@@ -430,7 +437,14 @@ func serverStats(before, after counters, nOps int, predictions int) workloadStat
 	}
 	st.compactions = before.delta(after, "fstore_compactions_total")
 	st.fitsPerReq = float64(predictions) / float64(nOps)
+	st.residency(after)
 	return st
+}
+
+// residency copies /healthz's boot mode and resident set from a scrape.
+func (st *workloadStats) residency(c counters) {
+	st.lazy = c["healthz.lazy_load"] != 0
+	st.resident, st.total = c["healthz.resident_vehicles"], c["healthz.total_vehicles"]
 }
 
 func (b *bench) timedRun() (*outcome, error) {
@@ -466,8 +480,8 @@ func (b *bench) timedRun() (*outcome, error) {
 	}
 	b.note("client.generator_late_ms mean=%.4f", ms(late)/float64(n))
 	b.note("host.steal_pct %.2f %%", sr.steal)
-	b.note("self-check hit_ratio=%.4f loads_per_req=%.4f extend_ratio=%.4f compactions=%.0f fits_per_req=%.1f",
-		st.hitRatio, st.loadsPerReq, st.extendRatio, st.compactions, st.fitsPerReq)
+	b.note("self-check hit_ratio=%.4f loads_per_req=%.4f extend_ratio=%.4f compactions=%.0f fits_per_req=%.1f lazy_load=%t resident=%.0f/%.0f",
+		st.hitRatio, st.loadsPerReq, st.extendRatio, st.compactions, st.fitsPerReq, st.lazy, st.resident, st.total)
 	o.set("setup_s", quantile(setupsSorted, 0.5).Seconds(), "s")
 	var rps, cpu []float64
 	for _, r := range sr.rounds {
@@ -751,6 +765,7 @@ func (b *bench) tracedPhase(ops []op, tr *tracer) (*tracedResult, error) {
 		tp.stats.extendRatio = ext / (ext + reb)
 	}
 	tp.stats.fitsPerReq = float64(replayed.fits.Load()-fits0) / fn
+	tp.stats.residency(sAfter)
 
 	// The replay must have done the work the handler did: same cache
 	// outcomes, loads, compactions and plan builds.

@@ -238,9 +238,10 @@ func cpuModel() string {
 }
 
 // counters is one scrape of the server's own bookkeeping: /metrics
-// counters, /healthz cache counts and /debug/vars memstats. A counter
-// that is not exposed at all fails the scrape: a renamed metric must
-// stop the benchmark, not read as zero.
+// counters, /healthz cache counts and residency (lazy_load as 0 or 1),
+// and /debug/vars memstats. A counter that is not exposed at all fails
+// the scrape: a renamed metric must stop the benchmark, not read as
+// zero.
 type counters map[string]float64
 
 var metricNames = []string{
@@ -293,14 +294,21 @@ func scrape(c *http.Client, base, debug string) (counters, error) {
 	if err := json.Unmarshal(body, &health); err != nil {
 		return nil, fmt.Errorf("/healthz: %w", err)
 	}
-	for _, k := range []string{"cache_hits", "cache_misses"} {
+	for _, k := range []string{"cache_hits", "cache_misses", "resident_vehicles", "total_vehicles", "lazy_load"} {
 		raw, ok := health[k]
 		if !ok {
 			return nil, fmt.Errorf("/healthz no longer reports %s", k)
 		}
-		v, err := strconv.ParseFloat(string(raw), 64)
-		if err != nil {
-			return nil, fmt.Errorf("/healthz %s: %w", k, err)
+		var v float64
+		switch string(raw) {
+		case "true":
+			v = 1
+		case "false":
+			v = 0
+		default:
+			if v, err = strconv.ParseFloat(string(raw), 64); err != nil {
+				return nil, fmt.Errorf("/healthz %s: %w", k, err)
+			}
 		}
 		out["healthz."+k] = v
 	}

@@ -109,7 +109,7 @@ func newStack(w workload, path string, tr *tracer, keepSeeds bool) (*stack, erro
 	threshold := w.compact
 	s.store.SetCompactor(s.compactor(func(d *etl.VehicleDataset) (bool, error) { return dir.MaybeCompact(d, threshold) }))
 	s.api = server.New(s.store, s.base)
-	s.cache = server.NewForecastCache(w.cacheSize)
+	s.cache = server.NewForecastCache(cacheSize)
 	s.api.Cache = s.cache
 	s.api.IngestPolicy = etl.MissingForwardFill
 	s.api.IngestConcurrency = 4
