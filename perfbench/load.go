@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -90,11 +91,6 @@ func closedLoop(c *client, ops []op) run {
 	return r
 }
 
-// rounds is how many consecutive slices a closed-loop phase is timed
-// in; per-round throughput and CPU are reported as their median, so a
-// burst of interference in one slice does not move the result.
-const rounds = 5
-
 // round is one timed slice of a phase.
 type round struct {
 	first, ops int // the round's operations are ops[first:first+ops]
@@ -104,7 +100,7 @@ type round struct {
 
 // closedLoopRounds runs the operations as one closed loop, reading the
 // server's CPU time at every round boundary.
-func closedLoopRounds(c *client, ops []op, pid int) (run, []round, error) {
+func closedLoopRounds(c *client, ops []op, pid, rounds int) (run, []round, error) {
 	var all run
 	var rs []round
 	for k := 0; k < rounds; k++ {
@@ -143,6 +139,23 @@ func median(v []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
+// spinWindow is how long before an operation is due the open loop stops
+// sleeping and yields in a loop instead. A timer wake-up alone
+// overshoots by about 0.6 ms on an idle 2-vCPU VM, and by more and
+// less predictably on a busy host; latency from the due time would
+// charge that to the server.
+const spinWindow = 2 * time.Millisecond
+
+// waitUntil returns at t, not later than the scheduler allows.
+func waitUntil(t time.Time) {
+	if d := time.Until(t) - spinWindow; d > 0 {
+		time.Sleep(d)
+	}
+	for time.Now().Before(t) {
+		runtime.Gosched()
+	}
+}
+
 // openLoop sends operation i when it is due, at start + i/rate,
 // whatever the state of earlier ones. Operations are split over conns
 // workers by vehicle, so one vehicle's batches stay in order; latency
@@ -163,9 +176,7 @@ func openLoop(c *client, ops []op, rate float64, conns int, vehicleIndex map[str
 					continue
 				}
 				due := start.Add(time.Duration(i) * interval)
-				if d := time.Until(due); d > 0 {
-					time.Sleep(d)
-				}
+				waitUntil(due)
 				r.late[i] = time.Since(due)
 				res := make([]result, len(o.calls))
 				for j, cl := range o.calls {
@@ -218,6 +229,18 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 func medianDuration(d []time.Duration) time.Duration {
 	return quantile(sortedCopy(d), 0.5)
+}
+
+// roundP50s are the median latencies, in ms, of the phase's rounds:
+// consecutive slices of its operations. latency_p50_ms is their median.
+func roundP50s(lat []time.Duration, rounds int) []float64 {
+	var p50s []float64
+	for k := 0; k < rounds; k++ {
+		if s := lat[k*len(lat)/rounds : (k+1)*len(lat)/rounds]; len(s) > 0 {
+			p50s = append(p50s, ms(medianDuration(s)))
+		}
+	}
+	return p50s
 }
 
 // describeTail returns the tail latency and how to print it: its

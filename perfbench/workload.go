@@ -21,12 +21,21 @@ type workload struct {
 	// arrival rate.
 	perSecond int
 	openLoop  bool
+	// rounds is how many consecutive slices of its operations a timed
+	// phase is measured in. Each figure is the median over the slices,
+	// so a burst of interference in one or two does not move it: the
+	// latency median on every workload, throughput and CPU on closed
+	// loops. evaluation measures its phase as one slice: every run sends
+	// the same 120 requests in a seeded order, so a slice would hold a
+	// seed-dependent share of the work, and the whole phase does not.
+	rounds int
 	// conns is the number of client connections (at most nproc).
 	conns int
 	// tracedShare is the divisor of the operation count a traced run
 	// sends: enough operations for stable per-layer means, few enough
-	// that two in-process stacks fit in memory. ingest-visible sends all
-	// of them, or too few batches reach a vehicle's compaction threshold.
+	// that two in-process stacks fit in memory. ingest-visible sends
+	// half, about ten batches per vehicle in a 30-second run, so most
+	// vehicles reach the compaction threshold.
 	tracedShare int
 	// lazy, budget and compact configure the server: -lazy-load,
 	// -resident-budget and -compact-threshold for the binary, the same
@@ -73,6 +82,7 @@ var workloads = []workload{
 		name:        "forecast-hot",
 		fixture:     smallFixture,
 		perSecond:   4000,
+		rounds:      5,
 		conns:       1,
 		tracedShare: 4,
 		compact:     64,
@@ -80,7 +90,8 @@ var workloads = []workload{
 	{
 		name:        "forecast-cold",
 		fixture:     studyFixture,
-		perSecond:   100,
+		perSecond:   40,
+		rounds:      5,
 		conns:       1,
 		tracedShare: 4,
 		lazy:        true,
@@ -92,14 +103,16 @@ var workloads = []workload{
 		fixture:     smallFixture,
 		perSecond:   40,
 		openLoop:    true,
+		rounds:      5,
 		conns:       2,
-		tracedShare: 1,
+		tracedShare: 2,
 		compact:     compactEvery,
 	},
 	{
 		name:        "evaluation",
 		fixture:     smallFixture,
-		perSecond:   12,
+		perSecond:   4,
+		rounds:      1,
 		conns:       1,
 		tracedShare: 4,
 		compact:     64,
