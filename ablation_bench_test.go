@@ -8,6 +8,7 @@ package vup
 // ablations live in the experiments (fig4, ext-weather).
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func benchEvaluate(b *testing.B, cfg core.Config) {
 	d := ablationDataset(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateVehicle(d, cfg); err != nil {
+		if _, err := core.EvaluateVehicleContext(context.Background(), d, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package vup
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -24,7 +25,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	cfg := experiments.Tiny()
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.Run(id, cfg)
+		rep, err := experiments.RunContext(context.Background(), id, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +118,7 @@ func BenchmarkEvaluateVehicle(b *testing.B) {
 	cfg.Channels = []string{canbus.ChanFuelRate}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.EvaluateVehicle(ds[0], cfg); err != nil {
+		if _, err := core.EvaluateVehicleContext(context.Background(), ds[0], cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

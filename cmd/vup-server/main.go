@@ -118,6 +118,10 @@ func main() {
 		logg.Error("-lazy-load requires -data-dir")
 		os.Exit(1)
 	}
+	if *residentBudget > 0 && !*lazyLoad {
+		logg.Error("-resident-budget requires -lazy-load")
+		os.Exit(1)
+	}
 	var dir *fstore.Dir
 	var datasets []*etl.VehicleDataset
 	var lazyIDs []string

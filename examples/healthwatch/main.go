@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 
-		res, err := core.EvaluateVehicle(d, cfg)
+		res, err := core.EvaluateVehicleContext(context.Background(), d, cfg)
 		if err != nil {
 			fmt.Printf("  %-9s (%s): not enough data (%v)\n", u.Vehicle.ID, u.Vehicle.Model.Type, err)
 			continue

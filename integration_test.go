@@ -8,6 +8,7 @@ package vup
 // in one pass.
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -101,7 +102,7 @@ func TestFrameLevelPathMatchesFastPath(t *testing.T) {
 	cfg.MaxLag = 21
 	cfg.Stride = 7
 	cfg.Channels = []string{canbus.ChanFuelRate, etl.ChanFaultCount}
-	res, err := core.EvaluateVehicle(d, cfg)
+	res, err := core.EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestWeatherPathEndToEnd(t *testing.T) {
 	cfg.Stride = 5
 	cfg.Channels = []string{canbus.ChanFuelRate}
 	cfg.TargetChannels = []string{weather.ChanTemp, weather.ChanPrecip}
-	res, err := core.EvaluateVehicle(d, cfg)
+	res, err := core.EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

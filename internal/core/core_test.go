@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -104,7 +105,7 @@ func TestMetrics(t *testing.T) {
 
 func TestEvaluateVehicleBasics(t *testing.T) {
 	d := testDataset(t, 1, 400)
-	res, err := EvaluateVehicle(d, fastConfig())
+	res, err := EvaluateVehicleContext(context.Background(), d, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +132,16 @@ func TestEvaluateVehicleErrors(t *testing.T) {
 	d := testDataset(t, 2, 400)
 	bad := fastConfig()
 	bad.W = 0
-	if _, err := EvaluateVehicle(d, bad); !errors.Is(err, ErrConfig) {
+	if _, err := EvaluateVehicleContext(context.Background(), d, bad); !errors.Is(err, ErrConfig) {
 		t.Errorf("want ErrConfig, got %v", err)
 	}
 	// Series shorter than the window.
 	short := testDataset(t, 3, 50)
-	if _, err := EvaluateVehicle(short, fastConfig()); err == nil {
+	if _, err := EvaluateVehicleContext(context.Background(), short, fastConfig()); err == nil {
 		t.Error("short series accepted")
 	}
 	// Invalid dataset.
-	if _, err := EvaluateVehicle(&etl.VehicleDataset{}, fastConfig()); err == nil {
+	if _, err := EvaluateVehicleContext(context.Background(), &etl.VehicleDataset{}, fastConfig()); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
@@ -152,7 +153,7 @@ func TestMLBeatsBaselinesNextDay(t *testing.T) {
 	pe := func(alg regress.Algorithm) float64 {
 		cfg := fastConfig()
 		cfg.Algorithm = alg
-		res, err := EvaluateVehicle(d, cfg)
+		res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -174,12 +175,12 @@ func TestNextWorkingDayEasier(t *testing.T) {
 	// error because unpredictable idle days vanish.
 	d := testDataset(t, 5, 600)
 	cfg := fastConfig()
-	nd, err := EvaluateVehicle(d, cfg)
+	nd, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Scenario = NextWorkingDay
-	nwd, err := EvaluateVehicle(d, cfg)
+	nwd, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestNextWorkingDayDatesAreRealDates(t *testing.T) {
 	d := testDataset(t, 51, 600)
 	cfg := fastConfig()
 	cfg.Scenario = NextWorkingDay
-	res, err := EvaluateVehicle(d, cfg)
+	res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +221,12 @@ func TestNextWorkingDayDatesAreRealDates(t *testing.T) {
 func TestExpandingVsSliding(t *testing.T) {
 	d := testDataset(t, 6, 500)
 	cfg := fastConfig()
-	sliding, err := EvaluateVehicle(d, cfg)
+	sliding, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Strategy = timeseries.Expanding
-	expanding, err := EvaluateVehicle(d, cfg)
+	expanding, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +241,12 @@ func TestStrideReducesWork(t *testing.T) {
 	d := testDataset(t, 7, 400)
 	cfg := fastConfig()
 	cfg.Stride = 1
-	full, err := EvaluateVehicle(d, cfg)
+	full, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Stride = 10
-	strided, err := EvaluateVehicle(d, cfg)
+	strided, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +356,7 @@ func TestScenarioViewAllIdle(t *testing.T) {
 	}
 	cfg := fastConfig()
 	cfg.Scenario = NextWorkingDay
-	if _, err := EvaluateVehicle(d, cfg); err == nil {
+	if _, err := EvaluateVehicleContext(context.Background(), d, cfg); err == nil {
 		t.Error("all-idle vehicle accepted in NWD scenario")
 	}
 }
@@ -367,7 +368,7 @@ func TestEvaluateFleet(t *testing.T) {
 	}
 	// One vehicle too short to evaluate: must land in Failed.
 	datasets = append(datasets, testDataset(t, 99, 60))
-	fr, err := EvaluateFleet(datasets, fastConfig(), 4)
+	fr, err := EvaluateFleetContext(context.Background(), datasets, fastConfig(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,17 +390,17 @@ func TestEvaluateFleet(t *testing.T) {
 }
 
 func TestEvaluateFleetErrors(t *testing.T) {
-	if _, err := EvaluateFleet(nil, fastConfig(), 1); !errors.Is(err, ErrNoPredictions) {
+	if _, err := EvaluateFleetContext(context.Background(), nil, fastConfig(), 1); !errors.Is(err, ErrNoPredictions) {
 		t.Errorf("want ErrNoPredictions, got %v", err)
 	}
 	bad := fastConfig()
 	bad.W = 0
-	if _, err := EvaluateFleet([]*etl.VehicleDataset{testDataset(t, 30, 200)}, bad, 1); !errors.Is(err, ErrConfig) {
+	if _, err := EvaluateFleetContext(context.Background(), []*etl.VehicleDataset{testDataset(t, 30, 200)}, bad, 1); !errors.Is(err, ErrConfig) {
 		t.Errorf("want ErrConfig, got %v", err)
 	}
 	// Every vehicle failing must be an error, not a zero result.
 	short := []*etl.VehicleDataset{testDataset(t, 31, 50)}
-	if _, err := EvaluateFleet(short, fastConfig(), 1); !errors.Is(err, ErrNoPredictions) {
+	if _, err := EvaluateFleetContext(context.Background(), short, fastConfig(), 1); !errors.Is(err, ErrNoPredictions) {
 		t.Errorf("want ErrNoPredictions, got %v", err)
 	}
 }
@@ -408,13 +409,13 @@ func TestSignificantSelectionRuns(t *testing.T) {
 	// The significance-gated variant must produce a comparable PE to
 	// the paper's top-K rule on a weekly-structured unit.
 	d := testDataset(t, 50, 450)
-	topK, err := EvaluateVehicle(d, fastConfig())
+	topK, err := EvaluateVehicleContext(context.Background(), d, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := fastConfig()
 	cfg.Selection = SelectSignificant
-	sig, err := EvaluateVehicle(d, cfg)
+	sig, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestFeatureSelectionHelps(t *testing.T) {
 		cfg.Algorithm = regress.AlgLasso
 		cfg.K = k
 		cfg.MaxLag = maxLag
-		res, err := EvaluateVehicle(d, cfg)
+		res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,27 +8,29 @@
 // or expanding-window hold-out strategies of Figure 3
 // ([vup/internal/timeseries]).
 //
-// The pipeline is compiled, then driven. [NewPlan] builds a [Plan]
-// once per (dataset, Config) pair: the validated configuration, the
-// scenario view of the series (Section 3's next-day vs
+// The pipeline is compiled, then driven. [NewPlanContext] builds a
+// [Plan] once per (dataset, Config) pair: the validated configuration,
+// the scenario view of the series (Section 3's next-day vs
 // next-working-day targets) and a one-pass lag-superset feature
-// materialization ([vup/internal/featsel.Materialize]) holding every
-// feature any training window could select. The paper's per-window
-// steps then run over the plan: [Plan.Evaluate] re-ranks lags and
-// gathers each window's matrix from the superset by block copies
-// (feature generation + selection, Section 4.1 steps 1-3), [Plan.Fit]
-// trains the most-recent-window model and returns a [Fitted] artifact
-// (step 4 for serving), and [Plan.ForecastInterval] calibrates a
-// residual-quantile band from a single evaluation pass (goal iii).
-// [Fitted.Forecast] and [Fitted.Horizon] predict phantom next days —
-// Horizon mutates one reusable extension in place, feeding each
-// prediction back as lag input for the following step.
+// materialization ([vup/internal/featsel.MaterializeContext]) holding
+// every feature any training window could select. The paper's
+// per-window steps then run over the plan: [Plan.EvaluateContext]
+// re-ranks lags and gathers each window's matrix from the superset by
+// block copies (feature generation + selection, Section 4.1 steps
+// 1-3), [Plan.FitContext] trains the most-recent-window model and
+// returns a [Fitted] artifact (step 4 for serving), and
+// [Plan.ForecastIntervalContext] calibrates a residual-quantile band
+// from a single evaluation pass (goal iii). [Fitted.ForecastContext]
+// and [Fitted.HorizonContext] predict phantom next days — the horizon
+// mutates one reusable extension in place, feeding each prediction
+// back as lag input for the following step. Every step takes a
+// context; an active trace span in it records the step as a child.
 //
-// [EvaluateVehicle] is the unit of work of the whole evaluation
+// [EvaluateVehicleContext] is the unit of work of the whole evaluation
 // campaign — a thin driver that compiles a Plan and runs it, as are
 // [Forecast], [ForecastHorizon] and [ForecastInterval].
-// [EvaluateFleet] fans it out over the vehicles on the bounded worker
-// pool of [vup/internal/parallel] and aggregates the per-vehicle
+// [EvaluateFleetContext] fans it out over the vehicles on the bounded
+// worker pool of [vup/internal/parallel] and aggregates the per-vehicle
 // errors deterministically (evaluation step 6), feeding the Figure 4
 // sweep, the Figure 5 comparison and the by-type table that
 // [vup/internal/experiments] renders. Callers serving several

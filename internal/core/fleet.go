@@ -29,23 +29,18 @@ type FleetResult struct {
 	Failed map[string]error
 }
 
-// EvaluateFleet evaluates cfg on every dataset through the bounded
-// worker pool of vup/internal/parallel (<=0 workers selects every
-// CPU). Vehicles that cannot be evaluated (short series, all-idle) are
-// collected in Failed rather than aborting the fleet run.
+// EvaluateFleetContext evaluates cfg on every dataset through the
+// bounded worker pool of vup/internal/parallel (<=0 workers selects
+// every CPU). Vehicles that cannot be evaluated (short series,
+// all-idle) are collected in Failed rather than aborting the fleet
+// run. The pool derives per-worker contexts from ctx, so when it
+// carries an active trace the per-vehicle evaluations appear as
+// (concurrent) child spans.
 //
 // The result is deterministic in the inputs and independent of
 // workers: per-vehicle outcomes land in pre-sized slices by index and
 // are aggregated in dataset order after the pool drains, so a
 // workers=N run is byte-identical to the sequential one.
-func EvaluateFleet(datasets []*etl.VehicleDataset, cfg Config, workers int) (*FleetResult, error) {
-	return EvaluateFleetContext(context.Background(), datasets, cfg, workers)
-}
-
-// EvaluateFleetContext is EvaluateFleet under a request context: the
-// pool derives per-worker contexts from ctx, so when it carries an
-// active trace the per-vehicle evaluations appear as (concurrent)
-// child spans.
 func EvaluateFleetContext(ctx context.Context, datasets []*etl.VehicleDataset, cfg Config, workers int) (*FleetResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

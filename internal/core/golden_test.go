@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -97,7 +98,7 @@ func TestGoldenEquivalence(t *testing.T) {
 						Scenario: sc.String(),
 						Strategy: st.String(),
 					}
-					res, err := EvaluateVehicle(d, cfg)
+					res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 					if err != nil {
 						t.Fatalf("%s/%s/%s evaluate: %v", alg, sc, st, err)
 					}

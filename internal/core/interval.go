@@ -49,26 +49,22 @@ func ResidualQuantiles(res *Result, level float64) (lo, hi float64, err error) {
 // the PE also yields the residual distribution, whose central quantile
 // range is re-centred on the new forecast.
 func ForecastInterval(d *etl.VehicleDataset, cfg Config, level float64) (*Interval, error) {
-	p, err := NewPlan(d, cfg)
+	ctx := context.Background()
+	p, err := NewPlanContext(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return p.ForecastInterval(level)
+	return p.ForecastIntervalContext(ctx, level)
 }
 
-// ForecastInterval runs the calibrated-interval path over one compiled
-// plan: a single evaluation pass yields the residual distribution, and
-// one additional fit on the most recent window (which reaches one day
-// further than the evaluation's final window) yields the point
-// forecast the quantile band is centred on. The pipeline is compiled
-// once — no second pass over the dataset.
-func (p *Plan) ForecastInterval(level float64) (*Interval, error) {
-	return p.ForecastIntervalContext(context.Background(), level)
-}
-
-// ForecastIntervalContext is ForecastInterval under a request context,
-// so the evaluation, fit and prediction appear as child spans of an
-// active trace.
+// ForecastIntervalContext runs the calibrated-interval path over one
+// compiled plan: a single evaluation pass yields the residual
+// distribution, and one additional fit on the most recent window
+// (which reaches one day further than the evaluation's final window)
+// yields the point forecast the quantile band is centred on. The
+// pipeline is compiled once — no second pass over the dataset. The
+// evaluation, fit and prediction appear as child spans of an active
+// trace in ctx.
 func (p *Plan) ForecastIntervalContext(ctx context.Context, level float64) (*Interval, error) {
 	res, err := p.EvaluateContext(ctx)
 	if err != nil {

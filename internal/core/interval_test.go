@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -79,7 +80,7 @@ func TestCoverageMatchesLevel(t *testing.T) {
 	d := testDataset(t, 42, 500)
 	cfg := fastConfig()
 	cfg.Stride = 3
-	res, err := EvaluateVehicle(d, cfg)
+	res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"vup/internal/obs"
@@ -15,7 +16,7 @@ func TestEvaluateRecordsStageTimings(t *testing.T) {
 
 	alg := obs.Label{Name: "algorithm", Value: "LR"}
 	before, _ := obs.FindSample(obs.Default.Gather(), "pipeline_fit_seconds", alg)
-	res, err := EvaluateVehicle(d, cfg)
+	res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

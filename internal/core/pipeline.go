@@ -55,19 +55,13 @@ func scenarioView(d *etl.VehicleDataset, cfg Config) (*etl.VehicleDataset, error
 	return d.Subset(keep)
 }
 
-// EvaluateVehicle runs the full hold-out evaluation of Section 4.1 on
-// one vehicle: enumerate the train/test windows, re-run feature
+// EvaluateVehicleContext runs the full hold-out evaluation of Section
+// 4.1 on one vehicle: enumerate the train/test windows, re-run feature
 // selection and model training per window, predict each test day and
 // aggregate the per-vehicle PE. It compiles a Plan and runs it; use
-// NewPlan directly to share the compiled features with a forecast or
-// interval on the same vehicle.
-func EvaluateVehicle(d *etl.VehicleDataset, cfg Config) (*Result, error) {
-	return EvaluateVehicleContext(context.Background(), d, cfg)
-}
-
-// EvaluateVehicleContext is EvaluateVehicle under a request context,
-// so the plan compilation and hold-out run appear as child spans of an
-// active trace.
+// NewPlanContext directly to share the compiled features with a
+// forecast or interval on the same vehicle. The plan compilation and
+// hold-out run appear as child spans of an active trace in ctx.
 func EvaluateVehicleContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (*Result, error) {
 	p, err := NewPlanContext(ctx, d, cfg)
 	if err != nil {
@@ -98,15 +92,16 @@ func Forecast(d *etl.VehicleDataset, cfg Config) (float64, []int, error) {
 // channels listed in cfg.TargetChannels), such as tomorrow's weather
 // forecast.
 func ForecastWith(d *etl.VehicleDataset, cfg Config, target map[string]float64) (float64, []int, error) {
-	p, err := NewPlan(d, cfg)
+	ctx := context.Background()
+	p, err := NewPlanContext(ctx, d, cfg)
 	if err != nil {
 		return 0, nil, err
 	}
-	f, err := p.Fit()
+	f, err := p.FitContext(ctx)
 	if err != nil {
 		return 0, nil, err
 	}
-	hours, err := f.Forecast(target)
+	hours, err := f.ForecastContext(ctx, target)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -123,13 +118,14 @@ func ForecastHorizon(d *etl.VehicleDataset, cfg Config, h int, targets []map[str
 	if h <= 0 {
 		return nil, fmt.Errorf("%w: horizon %d", ErrConfig, h)
 	}
-	p, err := NewPlan(d, cfg)
+	ctx := context.Background()
+	p, err := NewPlanContext(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	f, err := p.Fit()
+	f, err := p.FitContext(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return f.Horizon(h, targets)
+	return f.HorizonContext(ctx, h, targets)
 }

@@ -19,14 +19,14 @@ import (
 // validated configuration, the scenario view of the series and the
 // lag-superset feature materialization — every feature any training
 // window could select, computed once in a single O(n×F) pass. The
-// public drivers (EvaluateVehicle, Forecast, ForecastHorizon,
+// public drivers (EvaluateVehicleContext, Forecast, ForecastHorizon,
 // ForecastInterval) are thin wrappers that compile a Plan and run it;
 // callers that run several of those on the same vehicle and config
 // (the server's evaluate+forecast handlers, the calibrated-interval
 // path) compile once and share it.
 //
-// A Plan is immutable after NewPlan and safe for concurrent use; the
-// per-run scratch lives in Evaluate and Fitted.
+// A Plan is immutable after NewPlanContext and safe for concurrent
+// use; the per-run scratch lives in EvaluateContext and Fitted.
 type Plan struct {
 	cfg  Config
 	d    *etl.VehicleDataset // original dataset: identity + country
@@ -34,16 +34,11 @@ type Plan struct {
 	mat  *featsel.Materialized
 }
 
-// NewPlan validates the configuration and dataset, applies the
+// NewPlanContext validates the configuration and dataset, applies the
 // scenario transformation and materializes the lag-superset features.
 // The materialization covers lags up to cfg.MaxLag (clamped to the
 // view length), so every per-window lag selection gathers from it by
-// block copies instead of re-walking the dataset maps.
-func NewPlan(d *etl.VehicleDataset, cfg Config) (*Plan, error) {
-	return NewPlanContext(context.Background(), d, cfg)
-}
-
-// NewPlanContext is NewPlan under a request context: when the context
+// block copies instead of re-walking the dataset maps. When ctx
 // carries an active trace span, the compilation is recorded as a
 // "plan.build" child (with the materialization under it).
 func NewPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (p *Plan, err error) {
@@ -202,17 +197,12 @@ func clampHours(pred float64) float64 {
 	return pred
 }
 
-// Evaluate runs the full hold-out evaluation of Section 4.1 over the
-// compiled plan: enumerate the train/test windows, re-run feature
-// selection per window, gather the window's matrix from the superset,
-// train a fresh model and predict the test day.
-func (p *Plan) Evaluate() (*Result, error) {
-	return p.EvaluateContext(context.Background())
-}
-
-// EvaluateContext is Evaluate under a request context: when the
-// context carries an active trace span, the hold-out run is recorded
-// as a "plan.evaluate" child with window and skip counts.
+// EvaluateContext runs the full hold-out evaluation of Section 4.1
+// over the compiled plan: enumerate the train/test windows, re-run
+// feature selection per window, gather the window's matrix from the
+// superset, train a fresh model and predict the test day. When ctx
+// carries an active trace span, the hold-out run is recorded as a
+// "plan.evaluate" child with window and skip counts.
 func (p *Plan) EvaluateContext(ctx context.Context) (res *Result, err error) {
 	_, sp := trace.Start(ctx, "plan.evaluate")
 	if sp != nil {
@@ -305,15 +295,11 @@ type Fitted struct {
 	model regress.Regressor
 }
 
-// Fit trains a forecasting model on the most recent window of the
-// plan's view (the whole series under the expanding strategy).
-func (p *Plan) Fit() (*Fitted, error) {
-	return p.FitContext(context.Background())
-}
-
-// FitContext is Fit under a request context: when the context carries
-// an active trace span, the training run is recorded as a "plan.fit"
-// child with "featsel.select_lags" and "model.fit" under it.
+// FitContext trains a forecasting model on the most recent window of
+// the plan's view (the whole series under the expanding strategy).
+// When ctx carries an active trace span, the training run is recorded
+// as a "plan.fit" child with "featsel.select_lags" and "model.fit"
+// under it.
 func (p *Plan) FitContext(ctx context.Context) (f *Fitted, err error) {
 	ctx, sp := trace.Start(ctx, "plan.fit")
 	if sp != nil {
@@ -427,16 +413,11 @@ func (f *Fitted) override(ext *featsel.Extension, step int, target map[string]fl
 	}
 }
 
-// Forecast predicts the next upcoming day — the next calendar day for
-// NextDay, the next working day for NextWorkingDay — with optional
-// known target-day channel values.
-func (f *Fitted) Forecast(target map[string]float64) (float64, error) {
-	return f.ForecastContext(context.Background(), target)
-}
-
-// ForecastContext is Forecast under a request context: when the
-// context carries an active trace span, the prediction is recorded as
-// a "model.predict" child.
+// ForecastContext predicts the next upcoming day — the next calendar
+// day for NextDay, the next working day for NextWorkingDay — with
+// optional known target-day channel values. When ctx carries an
+// active trace span, the prediction is recorded as a "model.predict"
+// child.
 func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64) (pred float64, err error) {
 	_, sp := trace.Start(ctx, "model.predict")
 	if sp != nil {
@@ -459,19 +440,14 @@ func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64)
 	return clampHours(pred), nil
 }
 
-// Horizon predicts the next h days by iterated one-step forecasting:
-// each prediction is written into its phantom slot so the following
-// steps' lag features see it. Per-step target-channel values (e.g. a
-// weather forecast per day) can be supplied via targets, indexed by
-// step. One extension is built up front and mutated in place — no
-// per-step dataset clone.
-func (f *Fitted) Horizon(h int, targets []map[string]float64) ([]float64, error) {
-	return f.HorizonContext(context.Background(), h, targets)
-}
-
-// HorizonContext is Horizon under a request context: when the context
-// carries an active trace span, the iterated forecast is recorded as a
-// "model.horizon" child with the step count.
+// HorizonContext predicts the next h days by iterated one-step
+// forecasting: each prediction is written into its phantom slot so the
+// following steps' lag features see it. Per-step target-channel values
+// (e.g. a weather forecast per day) can be supplied via targets,
+// indexed by step. One extension is built up front and mutated in
+// place — no per-step dataset clone. When ctx carries an active trace
+// span, the iterated forecast is recorded as a "model.horizon" child
+// with the step count.
 func (f *Fitted) HorizonContext(ctx context.Context, h int, targets []map[string]float64) (out []float64, err error) {
 	_, sp := trace.Start(ctx, "model.horizon")
 	if sp != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"vup/internal/regress"
@@ -31,7 +32,7 @@ func BenchmarkEvaluateVehicle(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := EvaluateVehicle(d, cfg); err != nil {
+				if _, err := EvaluateVehicleContext(context.Background(), d, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,7 +43,7 @@ func TestForecastIntervalSinglePass(t *testing.T) {
 
 	var evalFits int64
 	cfg := countingConfig(&evalFits)
-	res, err := EvaluateVehicle(d, cfg)
+	res, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,15 +72,15 @@ func TestPlanReuseMatchesDrivers(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Algorithm = regress.AlgLinear
 
-	p, err := NewPlan(d, cfg)
+	p, err := NewPlanContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRes, err := EvaluateVehicle(d, cfg)
+	wantRes, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRes, err := p.Evaluate()
+	gotRes, err := p.EvaluateContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +93,11 @@ func TestPlanReuseMatchesDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := p.Fit()
+	f, err := p.FitContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHours, err := f.Forecast(nil)
+	gotHours, err := f.ForecastContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestPlanReuseMatchesDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHorizon, err := f.Horizon(7, nil)
+	gotHorizon, err := f.HorizonContext(context.Background(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestPlanReuseMatchesDrivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIv, err := p.ForecastInterval(0.8)
+	gotIv, err := p.ForecastIntervalContext(context.Background(), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,19 +152,19 @@ func TestFittedConcurrentUse(t *testing.T) {
 	d := testDataset(t, 33, 160)
 	cfg := fastConfig()
 	cfg.Algorithm = regress.AlgLinear
-	p, err := NewPlan(d, cfg)
+	p, err := NewPlanContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := p.Fit()
+	f, err := p.FitContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPoint, err := f.Forecast(nil)
+	wantPoint, err := f.ForecastContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHorizon, err := f.Horizon(5, nil)
+	wantHorizon, err := f.HorizonContext(context.Background(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestFittedConcurrentUse(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			got, err := f.Forecast(nil)
+			got, err := f.ForecastContext(context.Background(), nil)
 			if err != nil {
 				errs <- err
 				return
@@ -185,7 +186,7 @@ func TestFittedConcurrentUse(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			got, err := f.Horizon(5, nil)
+			got, err := f.HorizonContext(context.Background(), 5, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -220,7 +221,7 @@ func TestPlanExtendMatchesFreshPlan(t *testing.T) {
 		cfg := fastConfig()
 		cfg.Scenario = scenario
 
-		p, err := NewPlan(prefix, cfg)
+		p, err := NewPlanContext(context.Background(), prefix, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,16 +229,16 @@ func TestPlanExtendMatchesFreshPlan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("scenario %v: extend failed: %v", scenario, err)
 		}
-		fresh, err := NewPlan(grown, cfg)
+		fresh, err := NewPlanContext(context.Background(), grown, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		eRes, err := extended.Evaluate()
+		eRes, err := extended.EvaluateContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fRes, err := fresh.Evaluate()
+		fRes, err := fresh.EvaluateContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,19 +247,19 @@ func TestPlanExtendMatchesFreshPlan(t *testing.T) {
 				scenario, eRes.PE, fRes.PE, eRes.MAE, fRes.MAE, len(eRes.Predictions), len(fRes.Predictions))
 		}
 
-		ef, err := extended.Fit()
+		ef, err := extended.FitContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, err := fresh.Fit()
+		ff, err := fresh.FitContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		eHours, err := ef.Forecast(nil)
+		eHours, err := ef.ForecastContext(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fHours, err := ff.Forecast(nil)
+		fHours, err := ff.ForecastContext(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +270,7 @@ func TestPlanExtendMatchesFreshPlan(t *testing.T) {
 		if p.View().Len() >= extended.View().Len() {
 			t.Fatalf("scenario %v: extension did not grow the view", scenario)
 		}
-		if _, err := p.Fit(); err != nil {
+		if _, err := p.FitContext(context.Background()); err != nil {
 			t.Fatalf("scenario %v: parent plan broken after extension: %v", scenario, err)
 		}
 	}
@@ -281,7 +282,7 @@ func TestPlanExtendRefusals(t *testing.T) {
 	d := testDataset(t, 36, 160)
 	grown := testDataset(t, 36, 165)
 	cfg := fastConfig()
-	p, err := NewPlan(d, cfg)
+	p, err := NewPlanContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestPlanExtendRefusals(t *testing.T) {
 	// the series length, which a longer series moves.
 	clamped := fastConfig()
 	clamped.MaxLag = 500
-	pc, err := NewPlan(d, clamped)
+	pc, err := NewPlanContext(context.Background(), d, clamped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestPlanExtendRefusals(t *testing.T) {
 func TestSelectLagsDegenerateWindow(t *testing.T) {
 	d := testDataset(t, 34, 160)
 	cfg := fastConfig()
-	p, err := NewPlan(d, cfg)
+	p, err := NewPlanContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -111,11 +112,11 @@ func TestPEAddingPerfectDayLowersProperty(t *testing.T) {
 func TestEvaluateDeterministicProperty(t *testing.T) {
 	d := testDataset(t, 60, 400)
 	cfg := fastConfig()
-	a, err := EvaluateVehicle(d, cfg)
+	a, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateVehicle(d, cfg)
+	b, err := EvaluateVehicleContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -21,11 +22,11 @@ func TestDeterminismAcrossWorkers(t *testing.T) {
 			par := Tiny()
 			par.Workers = 4
 
-			a, err := Run(id, seq)
+			a, err := RunContext(context.Background(), id, seq)
 			if err != nil {
 				t.Fatalf("%s workers=1: %v", id, err)
 			}
-			b, err := Run(id, par)
+			b, err := RunContext(context.Background(), id, par)
 			if err != nil {
 				t.Fatalf("%s workers=4: %v", id, err)
 			}

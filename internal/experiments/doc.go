@@ -17,7 +17,7 @@
 // rendering; EXPERIMENTS.md holds the figure ↔ command crosswalk and
 // the measured-vs-published comparison.
 //
-// The runners drive [vup/internal/core.EvaluateFleet] over the
+// The runners drive [vup/internal/core.EvaluateFleetContext] over the
 // per-vehicle datasets and fan their per-algorithm and per-search
 // loops out on [vup/internal/parallel]. Reports are byte-identical for
 // any Config.Workers value: per-vehicle dataset RNGs are split in a

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func run(t *testing.T, id string) *Report {
 	t.Helper()
-	rep, err := Run(id, Tiny())
+	rep, err := RunContext(context.Background(), id, Tiny())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -55,12 +56,12 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("no title for %s", id)
 		}
 	}
-	if _, err := Run("bogus", Tiny()); err == nil {
+	if _, err := RunContext(context.Background(), "bogus", Tiny()); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 	bad := Tiny()
 	bad.Units = 0
-	if _, err := Run("fig1a", bad); err == nil {
+	if _, err := RunContext(context.Background(), "fig1a", bad); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -335,11 +336,11 @@ func TestRenderMarkdown(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := Run("fig1a", Tiny())
+	a, err := RunContext(context.Background(), "fig1a", Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("fig1a", Tiny())
+	b, err := RunContext(context.Background(), "fig1a", Tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestDeterminism(t *testing.T) {
 func TestExtWeatherShape(t *testing.T) {
 	cfg := Tiny()
 	cfg.Units = 40 // enough weather-sensitive machines
-	rep, err := Run("ext-weather", cfg)
+	rep, err := RunContext(context.Background(), "ext-weather", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +401,7 @@ func TestExtLevelsShape(t *testing.T) {
 func TestByTypeShape(t *testing.T) {
 	cfg := Tiny()
 	cfg.Units = 60 // enough units to cover several types
-	rep, err := Run("by-type", cfg)
+	rep, err := RunContext(context.Background(), "by-type", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,14 +111,9 @@ func IDs() []string {
 // Title returns the registered title of an experiment.
 func Title(id string) string { return titleIndex[id] }
 
-// Run executes the experiment with the given ID.
-func Run(id string, cfg Config) (*Report, error) {
-	return RunContext(context.Background(), id, cfg)
-}
-
-// RunContext is Run under a caller context: when the context carries
-// an active trace span, the experiment's pipeline stages appear as
-// child spans.
+// RunContext executes the experiment with the given ID. When ctx
+// carries an active trace span, the experiment's pipeline stages
+// appear as child spans.
 func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

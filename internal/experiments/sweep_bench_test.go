@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // The sweep benchmark pair anchors the parallel-engine perf
 // trajectory: fig5b is the heaviest registered sweep shape (six
@@ -13,7 +16,7 @@ func benchmarkSweep(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run("fig5b", cfg); err != nil {
+		if _, err := RunContext(context.Background(), "fig5b", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

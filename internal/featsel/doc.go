@@ -7,9 +7,9 @@
 // lags plus the target day's contextual features.
 //
 // [SelectLags] and [Spec] are re-run per training window by
-// [vup/internal/core.EvaluateVehicle] — feature selection is inside
-// the hold-out loop, as Section 4.1 requires — and the selection is a
-// pure function of the window, so the parallel sweeps of
-// [vup/internal/experiments] reproduce sequential feature sets
+// [vup/internal/core.EvaluateVehicleContext] — feature selection is
+// inside the hold-out loop, as Section 4.1 requires — and the
+// selection is a pure function of the window, so the parallel sweeps
+// of [vup/internal/experiments] reproduce sequential feature sets
 // exactly. The ACF itself lives in [vup/internal/stats].
 package featsel

@@ -56,15 +56,10 @@ type Materialized struct {
 	tailOwned atomic.Bool
 }
 
-// Materialize compiles the superset for d. maxLag must be >= 1; every
-// channel and target channel must exist in the dataset.
-func Materialize(d *etl.VehicleDataset, maxLag int, channels []string, includeContext bool, targetChannels []string) (*Materialized, error) {
-	return MaterializeContext(context.Background(), d, maxLag, channels, includeContext, targetChannels)
-}
-
-// MaterializeContext is Materialize under a request context: when the
-// context carries an active trace span, the one-pass build is recorded
-// as a "featsel.materialize" child with the superset dimensions.
+// MaterializeContext compiles the superset for d. maxLag must be >= 1;
+// every channel and target channel must exist in the dataset. When ctx
+// carries an active trace span, the one-pass build is recorded as a
+// "featsel.materialize" child with the superset dimensions.
 func MaterializeContext(ctx context.Context, d *etl.VehicleDataset, maxLag int, channels []string, includeContext bool, targetChannels []string) (m *Materialized, err error) {
 	_, sp := trace.Start(ctx, "featsel.materialize")
 	defer func() {
@@ -161,7 +156,7 @@ func materialize(d *etl.VehicleDataset, maxLag int, channels []string, includeCo
 // only the slice every new row can actually read — the trailing
 // MaxLag days of the overlap, bitwise — and refuses on drift. A
 // dataset that shrank or lost a configured channel is also refused;
-// the caller falls back to a full Materialize.
+// the caller falls back to a full MaterializeContext.
 func (m *Materialized) AppendDays(d *etl.VehicleDataset) (*Materialized, error) {
 	n2 := d.Len()
 	if n2 < m.n {

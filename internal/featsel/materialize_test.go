@@ -1,6 +1,7 @@
 package featsel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -46,7 +47,7 @@ func TestMaterializedMatchesSpec(t *testing.T) {
 	const maxLag = 14
 	channels := []string{"alpha", "beta"}
 	targets := []string{"gamma", "alpha"} // overlap with channels on purpose
-	m, err := Materialize(d, maxLag, channels, true, targets)
+	m, err := MaterializeContext(context.Background(), d, maxLag, channels, true, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestMaterializedMatrixMatchesSpec(t *testing.T) {
 	d := materializeDataset(t, 80)
 	lags := []int{1, 6, 12}
 	channels := []string{"beta", "gamma"}
-	m, err := Materialize(d, 12, channels, true, nil)
+	m, err := MaterializeContext(context.Background(), d, 12, channels, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestMaterializedScratchReuse(t *testing.T) {
 	// second overwrites the first, which is exactly why callers copy
 	// results they keep — but shapes shrink and grow safely.
 	d := materializeDataset(t, 60)
-	m, err := Materialize(d, 10, []string{"alpha"}, false, nil)
+	m, err := MaterializeContext(context.Background(), d, 10, []string{"alpha"}, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestMaterializedExtendedRow(t *testing.T) {
 	d := materializeDataset(t, 50)
 	channels := []string{"alpha", "beta"}
 	targets := []string{"gamma"}
-	m, err := Materialize(d, 9, channels, true, targets)
+	m, err := MaterializeContext(context.Background(), d, 9, channels, true, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestAppendDaysMatchesFreshMaterialize(t *testing.T) {
 	d := materializeDataset(t, 70)
 	channels := []string{"alpha", "beta"}
 	targets := []string{"gamma", "alpha"}
-	m, err := Materialize(d, 11, channels, true, targets)
+	m, err := MaterializeContext(context.Background(), d, 11, channels, true, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestAppendDaysMatchesFreshMaterialize(t *testing.T) {
 		}
 		cur = next
 	}
-	fresh, err := Materialize(grown, 11, channels, true, targets)
+	fresh, err := MaterializeContext(context.Background(), grown, 11, channels, true, targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestAppendDaysMatchesFreshMaterialize(t *testing.T) {
 // place; the other reallocates. The parent's own rows stay intact.
 func TestAppendDaysForkSafety(t *testing.T) {
 	d := materializeDataset(t, 50)
-	m, err := Materialize(d, 7, []string{"alpha"}, false, []string{"alpha"})
+	m, err := MaterializeContext(context.Background(), d, 7, []string{"alpha"}, false, []string{"alpha"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestAppendDaysForkSafety(t *testing.T) {
 
 func TestAppendDaysRefusals(t *testing.T) {
 	d := materializeDataset(t, 40)
-	m, err := Materialize(d, 6, []string{"alpha"}, true, []string{"beta"})
+	m, err := MaterializeContext(context.Background(), d, 6, []string{"alpha"}, true, []string{"beta"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +413,7 @@ func BenchmarkAppendDays(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			full := benchDataset(n + b.N + 1)
 			view := benchView(full, n)
-			m, err := Materialize(view, 28, []string{"alpha", "beta"}, true, []string{"gamma"})
+			m, err := MaterializeContext(context.Background(), view, 28, []string{"alpha", "beta"}, true, []string{"gamma"})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -435,7 +436,7 @@ func BenchmarkMaterializeFull(b *testing.B) {
 			full := benchDataset(n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Materialize(full, 28, []string{"alpha", "beta"}, true, []string{"gamma"}); err != nil {
+				if _, err := MaterializeContext(context.Background(), full, 28, []string{"alpha", "beta"}, true, []string{"gamma"}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -486,16 +487,16 @@ func benchView(full *etl.VehicleDataset, k int) *etl.VehicleDataset {
 
 func TestMaterializeErrors(t *testing.T) {
 	d := materializeDataset(t, 30)
-	if _, err := Materialize(d, 0, nil, false, nil); err == nil {
+	if _, err := MaterializeContext(context.Background(), d, 0, nil, false, nil); err == nil {
 		t.Error("max lag 0 accepted")
 	}
-	if _, err := Materialize(d, 5, []string{"nope"}, false, nil); err == nil {
+	if _, err := MaterializeContext(context.Background(), d, 5, []string{"nope"}, false, nil); err == nil {
 		t.Error("unknown channel accepted")
 	}
-	if _, err := Materialize(d, 5, nil, false, []string{"nope"}); err == nil {
+	if _, err := MaterializeContext(context.Background(), d, 5, nil, false, []string{"nope"}); err == nil {
 		t.Error("unknown target channel accepted")
 	}
-	m, err := Materialize(d, 5, nil, false, nil)
+	m, err := MaterializeContext(context.Background(), d, 5, nil, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

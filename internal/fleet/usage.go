@@ -51,9 +51,6 @@ type UsageModel struct {
 	seasonalPhase float64
 	// driftSigma is the daily step of the log-level random walk.
 	driftSigma float64
-	// meanActivity is the expected overall active-day fraction, kept
-	// for reporting.
-	meanActivity float64
 	// Job episodes: construction machines alternate between weeks-long
 	// site deployments and idle periods between jobs. The daily exit
 	// hazards 1/meanOnSite and 1/meanBetween drive a two-state
@@ -150,7 +147,6 @@ func NewUsageModel(v Vehicle, modelSeed int64, rng *randx.RNG) *UsageModel {
 	rng.Shuffle(len(weekends), func(i, j int) { weekends[i], weekends[j] = weekends[j], weekends[i] })
 	order := append(append([]int(nil), weekdays...), weekends...)
 	regular := map[int]bool{}
-	var meanProb float64
 	for k, d := range order {
 		if k < nRegular {
 			regular[d] = true
@@ -158,9 +154,7 @@ func NewUsageModel(v Vehicle, modelSeed int64, rng *randx.RNG) *UsageModel {
 		} else {
 			m.dowProb[d] = clamp(rng.Beta(1.2, 12), 0.01, 0.3) // ~0.08
 		}
-		meanProb += m.dowProb[d] / 7
 	}
-	m.meanActivity = meanProb * (5 + 2*p.weekendFactor) / 7 * availability
 
 	// Per-weekday hour levels carry the type's spread. Sporadic days
 	// are short runs (repositioning, maintenance), which concentrates
@@ -237,10 +231,6 @@ func (m *UsageModel) SimulateWeather(start time.Time, days int, wx []weather.Day
 
 // MedianHours returns the unit's active-day reference level.
 func (m *UsageModel) MedianHours() float64 { return m.medianHours }
-
-// ActivityRate returns the unit's expected overall active-day
-// fraction.
-func (m *UsageModel) ActivityRate() float64 { return m.meanActivity }
 
 // Country returns the unit's deployment country.
 func (m *UsageModel) Country() geo.Country { return m.country }

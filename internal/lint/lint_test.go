@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -237,6 +238,35 @@ func TestRepoIsClean(t *testing.T) {
 	for _, pkg := range pkgs {
 		for _, d := range Check(pkg, analyzers) {
 			t.Errorf("%s", d)
+		}
+	}
+}
+
+// TestRepoBlockingMethodsExist keeps lockhold's repository method
+// tables honest: every listed name must be a method of its receiver
+// type. A method that no longer exists matches no call, so a rename
+// would otherwise switch the rule off for it without any failure.
+func TestRepoBlockingMethodsExist(t *testing.T) {
+	pkgs, err := Load("../..", "./internal/fstore", "./internal/server")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	for _, r := range repoBlockingMethods {
+		var obj types.Object
+		for _, pkg := range pkgs {
+			if pathIs(pkg.Pkg, r.pkg) {
+				obj = pkg.Pkg.Scope().Lookup(r.typ)
+			}
+		}
+		if obj == nil {
+			t.Errorf("type %s.%s not found", r.pkg, r.typ)
+			continue
+		}
+		mset := types.NewMethodSet(types.NewPointer(obj.Type()))
+		for _, m := range r.methods {
+			if mset.Lookup(obj.Pkg(), m) == nil {
+				t.Errorf("%s.%s has no method %s", r.pkg, r.typ, m)
+			}
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -216,6 +217,22 @@ func indirectCallDesc(pkg *Package, call *ast.CallExpr) string {
 	return ""
 }
 
+// repoBlockingMethods is the repository's own persistence/faulting
+// surface: per receiver type, the methods that hit disk or may fault a
+// vehicle in from it. TestRepoBlockingMethodsExist checks that every
+// listed method still exists, so a rename cannot silently switch the
+// rule off for it.
+var repoBlockingMethods = []struct {
+	pkg, typ string
+	desc     string // format with the method name
+	methods  []string
+}{
+	{"internal/fstore", "Dir", "store IO (fstore.Dir.%s, hits disk)",
+		[]string{"Save", "SaveVehicle", "Append", "Load", "LoadVehicle", "MaybeCompact", "Close"}},
+	{"internal/server", "Store", "store access (server.Store.%s, may fault from disk)",
+		[]string{"Put", "AppendContext", "Acquire", "Get"}},
+}
+
 // knownBlockingFunc is the cross-package known-blocking set: stdlib IO
 // and the repository's own persistence/faulting entry points.
 func knownBlockingFunc(obj *types.Func) string {
@@ -234,16 +251,10 @@ func knownBlockingFunc(obj *types.Func) string {
 		}
 	case recvIsNamed(obj, "sync", "WaitGroup") && name == "Wait":
 		return "sync.WaitGroup.Wait"
-	case recvIsNamed(obj, "fstore", "Dir"):
-		switch name {
-		case "Save", "SaveVehicle", "Append", "Load", "LoadVehicle",
-			"MaybeCompact", "CompactVehicle", "Close":
-			return fmt.Sprintf("store IO (fstore.Dir.%s, hits disk)", name)
-		}
-	case recvIsNamed(obj, "internal/server", "Store"):
-		switch name {
-		case "Put", "Append", "AppendContext", "Acquire", "Get":
-			return fmt.Sprintf("store access (server.Store.%s, may fault from disk)", name)
+	}
+	for _, r := range repoBlockingMethods {
+		if recvIsNamed(obj, r.pkg, r.typ) && slices.Contains(r.methods, name) {
+			return fmt.Sprintf(r.desc, name)
 		}
 	}
 	if obj.Type().(*types.Signature).Recv() != nil {

@@ -14,7 +14,6 @@ package obs
 import (
 	"net/http"
 	"os"
-	"time"
 )
 
 // Default is the process-wide registry. Library packages register
@@ -44,7 +43,3 @@ var DurationBuckets = []float64{
 	0.1, 0.25, 0.5,
 	1, 2.5, 5,
 }
-
-// SinceSeconds returns the elapsed wall-clock time since start in
-// seconds, the unit every duration histogram in this package records.
-func SinceSeconds(start time.Time) float64 { return time.Since(start).Seconds() }

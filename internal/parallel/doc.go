@@ -6,10 +6,10 @@
 // table) is an embarrassingly parallel fan-out — per-vehicle ×
 // per-algorithm × per-grid-point runs of the same rolling-window
 // evaluation — and every one of those fan-outs runs through [ForEach]
-// or [Map]: the per-vehicle loop of [vup/internal/core.EvaluateFleet],
-// the per-unit simulation of the [vup/internal/fleet] generator, and
-// the per-algorithm and per-search loops of
-// [vup/internal/experiments].
+// or [Map]: the per-vehicle loop of
+// [vup/internal/core.EvaluateFleetContext], the per-unit simulation of
+// the [vup/internal/fleet] generator, and the per-algorithm and
+// per-search loops of [vup/internal/experiments].
 //
 // Determinism is the design constraint, not throughput: a parallel run
 // must be byte-identical to the sequential one. The rules that make

@@ -171,6 +171,10 @@ func TestDefaultWorkers(t *testing.T) {
 
 func TestPoolMetrics(t *testing.T) {
 	const stage = "parallel_test_metrics"
+	// The registry is process-wide and -cpu/-count rerun this test in
+	// the same process, so the job count is checked as a delta.
+	label := obs.Label{Name: "stage", Value: stage}
+	before, _ := obs.FindSample(obs.Default.Gather(), "sweep_job_seconds", label)
 	err := ForEach(context.Background(), 17, Options{Workers: 4, Stage: stage}, func(_ context.Context, i int) error {
 		return nil
 	})
@@ -178,14 +182,14 @@ func TestPoolMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	families := obs.Default.Gather()
-	s, ok := obs.FindSample(families, "sweep_job_seconds", obs.Label{Name: "stage", Value: stage})
+	s, ok := obs.FindSample(families, "sweep_job_seconds", label)
 	if !ok {
 		t.Fatal("sweep_job_seconds sample missing")
 	}
-	if s.Count != 17 {
-		t.Errorf("job count = %d, want 17", s.Count)
+	if got := s.Count - before.Count; got != 17 {
+		t.Errorf("job count = %d, want 17", got)
 	}
-	g, ok := obs.FindSample(families, "sweep_jobs_in_flight", obs.Label{Name: "stage", Value: stage})
+	g, ok := obs.FindSample(families, "sweep_jobs_in_flight", label)
 	if !ok {
 		t.Fatal("sweep_jobs_in_flight sample missing")
 	}

@@ -159,107 +159,12 @@ func TestTypedColumnAccessors(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
+func TestString(t *testing.T) {
 	tab := NewTable(testSchema(t))
-	for i := 1; i <= 10; i++ {
-		tab.Append("v", d(i), float64(i), int64(i%7), i%2 == 0)
-	}
-	hours, _ := tab.FloatCol("hours")
-	out := tab.Filter(func(row int) bool { return hours[row] > 5 })
-	if out.Rows() != 5 {
-		t.Errorf("filtered rows = %d", out.Rows())
-	}
-	got, _ := out.FloatCol("hours")
-	for _, h := range got {
-		if h <= 5 {
-			t.Errorf("filter kept %v", h)
-		}
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	tab := NewTable(testSchema(t))
-	tab.Append("b", d(3), 3.0, int64(3), true)
-	tab.Append("a", d(1), 1.0, int64(1), true)
-	tab.Append("c", d(2), 2.0, int64(2), true)
-
-	byHours, err := tab.SortBy("hours")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := byHours.FloatCol("hours"); got[0] != 1 || got[2] != 3 {
-		t.Errorf("sort by float = %v", got)
-	}
-	byName, _ := tab.SortBy("vehicle")
-	if got, _ := byName.StringCol("vehicle"); got[0] != "a" || got[2] != "c" {
-		t.Errorf("sort by string = %v", got)
-	}
-	byDate, _ := tab.SortBy("date")
-	if got, _ := byDate.TimeCol("date"); !got[0].Equal(d(1)) {
-		t.Errorf("sort by time = %v", got)
-	}
-	byInt, _ := tab.SortBy("dow")
-	if got, _ := byInt.IntCol("dow"); got[0] != 1 {
-		t.Errorf("sort by int = %v", got)
-	}
-	if _, err := tab.SortBy("working"); err == nil {
-		t.Error("sort by bool accepted")
-	}
-	if _, err := tab.SortBy("nope"); err == nil {
-		t.Error("sort by unknown column accepted")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	tab := NewTable(testSchema(t))
-	tab.Append("v1", d(1), 2.0, int64(1), true)
-	tab.Append("v1", d(2), 4.0, int64(2), true)
-	tab.Append("v2", d(1), 10.0, int64(1), true)
-
-	mean, err := tab.GroupBy("vehicle", "hours", AggMean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mean["v1"] != 3 || mean["v2"] != 10 {
-		t.Errorf("mean = %v", mean)
-	}
-	sum, _ := tab.GroupBy("vehicle", "hours", AggSum)
-	if sum["v1"] != 6 {
-		t.Errorf("sum = %v", sum)
-	}
-	minv, _ := tab.GroupBy("vehicle", "hours", AggMin)
-	if minv["v1"] != 2 {
-		t.Errorf("min = %v", minv)
-	}
-	maxv, _ := tab.GroupBy("vehicle", "hours", AggMax)
-	if maxv["v1"] != 4 {
-		t.Errorf("max = %v", maxv)
-	}
-	count, _ := tab.GroupBy("vehicle", "hours", AggCount)
-	if count["v1"] != 2 || count["v2"] != 1 {
-		t.Errorf("count = %v", count)
-	}
-	if _, err := tab.GroupBy("nope", "hours", AggMean); err == nil {
-		t.Error("unknown key accepted")
-	}
-	if _, err := tab.GroupBy("vehicle", "nope", AggMean); err == nil {
-		t.Error("unknown value column accepted")
-	}
-}
-
-func TestHeadAndString(t *testing.T) {
-	tab := NewTable(testSchema(t))
-	for i := 1; i <= 5; i++ {
+	for i := 1; i <= 2; i++ {
 		tab.Append("v", d(i), float64(i), int64(i), true)
 	}
-	head := tab.Head(2)
-	if head.Rows() != 2 {
-		t.Fatalf("head rows = %d", head.Rows())
-	}
-	if over := tab.Head(99); over.Rows() != 5 {
-		t.Fatalf("oversized head rows = %d", over.Rows())
-	}
-	out := head.String()
+	out := tab.String()
 	if !strings.Contains(out, "vehicle") || !strings.Contains(out, "(2 rows)") {
 		t.Errorf("String output:\n%s", out)
 	}

@@ -1,8 +1,8 @@
 // Package relational implements the small columnar table engine the
 // data-preparation pipeline targets. The paper's step (v) is
 // "Transformation, to tailor input data to a relational data format";
-// this package is that format: typed schemas, columnar storage,
-// filtering, sorting, group-by aggregation, CSV round-tripping, and a
+// this package is that format: typed schemas, type-checked row append,
+// columnar storage with typed column accessors, CSV write/read, and a
 // checksummed binary serialization (the VUPT format, binary.go).
 //
 // The column types map one-to-one onto the paper's Table 1 feature

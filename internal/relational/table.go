@@ -2,8 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -216,71 +214,8 @@ func (t *Table) Row(i int) ([]Value, error) {
 	return out, nil
 }
 
-// Filter returns a new table holding the rows for which pred returns
-// true. pred receives the row index and reads cells through the table.
-func (t *Table) Filter(pred func(row int) bool) *Table {
-	out := NewTable(t.schema)
-	for i := 0; i < t.rows; i++ {
-		if !pred(i) {
-			continue
-		}
-		row, _ := t.Row(i)
-		// Appending a row read from the same schema cannot fail.
-		_ = out.Append(row...)
-	}
-	return out
-}
-
-// SortBy returns a new table sorted by the named column ascending.
-// Only Float, Int, String and Time columns are sortable.
-func (t *Table) SortBy(col string) (*Table, error) {
-	i, c, err := t.schema.Lookup(col)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, t.rows)
-	for k := range idx {
-		idx[k] = k
-	}
-	switch c.Type {
-	case Float:
-		vals := t.floats[i]
-		sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	case Int:
-		vals := t.ints[i]
-		sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	case String:
-		vals := t.strings[i]
-		sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]] < vals[idx[b]] })
-	case Time:
-		vals := t.times[i]
-		sort.SliceStable(idx, func(a, b int) bool { return vals[idx[a]].Before(vals[idx[b]]) })
-	default:
-		return nil, fmt.Errorf("%w: cannot sort by %s column %q", ErrTypeClash, c.Type, col)
-	}
-	out := NewTable(t.schema)
-	for _, k := range idx {
-		row, _ := t.Row(k)
-		_ = out.Append(row...)
-	}
-	return out, nil
-}
-
-// Head returns a new table with at most n leading rows.
-func (t *Table) Head(n int) *Table {
-	if n > t.rows {
-		n = t.rows
-	}
-	out := NewTable(t.schema)
-	for i := 0; i < n; i++ {
-		row, _ := t.Row(i)
-		_ = out.Append(row...)
-	}
-	return out
-}
-
-// String renders the table as an aligned text grid (all rows; compose
-// with Head for a preview). It implements fmt.Stringer.
+// String renders the table as an aligned text grid of all rows. It
+// implements fmt.Stringer.
 func (t *Table) String() string {
 	widths := make([]int, t.schema.Len())
 	header := make([]string, t.schema.Len())
@@ -324,65 +259,4 @@ func (t *Table) String() string {
 	}
 	fmt.Fprintf(&b, "(%d rows)\n", t.rows)
 	return b.String()
-}
-
-// Agg enumerates group-by aggregation functions.
-type Agg int
-
-const (
-	AggMean Agg = iota
-	AggSum
-	AggMin
-	AggMax
-	AggCount
-)
-
-// GroupBy groups rows by the string key column and aggregates the
-// float value column with fn. Results are keyed by group value.
-func (t *Table) GroupBy(keyCol, valCol string, fn Agg) (map[string]float64, error) {
-	keys, err := t.StringCol(keyCol)
-	if err != nil {
-		return nil, err
-	}
-	var vals []float64
-	if fn != AggCount {
-		vals, err = t.FloatCol(valCol)
-		if err != nil {
-			return nil, err
-		}
-	}
-	sums := map[string]float64{}
-	counts := map[string]float64{}
-	mins := map[string]float64{}
-	maxs := map[string]float64{}
-	for i, k := range keys {
-		counts[k]++
-		if fn == AggCount {
-			continue
-		}
-		v := vals[i]
-		sums[k] += v
-		if counts[k] == 1 {
-			mins[k], maxs[k] = v, v
-			continue
-		}
-		mins[k] = math.Min(mins[k], v)
-		maxs[k] = math.Max(maxs[k], v)
-	}
-	out := map[string]float64{}
-	for k := range counts {
-		switch fn {
-		case AggMean:
-			out[k] = sums[k] / counts[k]
-		case AggSum:
-			out[k] = sums[k]
-		case AggMin:
-			out[k] = mins[k]
-		case AggMax:
-			out[k] = maxs[k]
-		case AggCount:
-			out[k] = counts[k]
-		}
-	}
-	return out, nil
 }

@@ -120,26 +120,23 @@ func (c *ForecastCache) Stats() CacheStats {
 	return c.stats
 }
 
-// Do returns the artifact for key, building it with build on a miss.
-// gen is the vehicle's store generation the caller observed; an entry
-// built against an older generation is evicted and rebuilt. Concurrent
-// calls with the same key coalesce onto one build and share its result
-// (errors included — errors are never stored) — but only when the
-// in-flight build observed the same generation: after a Put, a request
-// that saw the new store state starts its own build instead of sharing
-// a stale one. The second return reports whether the artifact came
-// from cache or a shared in-flight build rather than a fresh build.
-func (c *ForecastCache) Do(key string, gen uint64, build func() (any, error)) (any, bool, error) {
-	return c.DoContext(context.Background(), key, gen, func(context.Context) (any, error) { return build() })
-}
-
-// DoContext is Do under a request context: when the context carries an
-// active trace span, the lookup is recorded as a "cache.lookup" child
-// whose outcome attribute is hit, miss, coalesced or bypass, and the
-// build runs under the span's context so training stages nest below
-// it. A coalesced waiter honours ctx: on cancellation it returns
-// ctx.Err() immediately, leaving the shared build running for the
-// remaining waiters.
+// DoContext returns the artifact for key, building it with build on a
+// miss. gen is the vehicle's store generation the caller observed; an
+// entry built against an older generation is evicted and rebuilt.
+// Concurrent calls with the same key coalesce onto one build and share
+// its result (errors included — errors are never stored) — but only
+// when the in-flight build observed the same generation: after a Put,
+// a request that saw the new store state starts its own build instead
+// of sharing a stale one. The second return reports whether the
+// artifact came from cache or a shared in-flight build rather than a
+// fresh build.
+//
+// When ctx carries an active trace span, the lookup is recorded as a
+// "cache.lookup" child whose outcome attribute is hit, miss, coalesced
+// or bypass, and the build runs under the span's context so training
+// stages nest below it. A coalesced waiter honours ctx: on
+// cancellation it returns ctx.Err() immediately, leaving the shared
+// build running for the remaining waiters.
 func (c *ForecastCache) DoContext(ctx context.Context, key string, gen uint64, build func(context.Context) (any, error)) (any, bool, error) {
 	ctx, sp := trace.Start(ctx, "cache.lookup")
 	if !c.Enabled() {

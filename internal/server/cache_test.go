@@ -19,15 +19,15 @@ import (
 func TestCacheHitMissEviction(t *testing.T) {
 	c := NewForecastCache(2)
 	builds := 0
-	build := func(v string) func() (any, error) {
-		return func() (any, error) { builds++; return v, nil }
+	build := func(v string) func(context.Context) (any, error) {
+		return func(context.Context) (any, error) { builds++; return v, nil }
 	}
 
-	v, cached, err := c.Do("a", 0, build("A"))
+	v, cached, err := c.DoContext(context.Background(), "a", 0, build("A"))
 	if err != nil || cached || v != "A" {
 		t.Fatalf("first lookup = %v cached=%v err=%v", v, cached, err)
 	}
-	v, cached, _ = c.Do("a", 0, build("A2"))
+	v, cached, _ = c.DoContext(context.Background(), "a", 0, build("A2"))
 	if !cached || v != "A" {
 		t.Fatalf("second lookup = %v cached=%v, want cached A", v, cached)
 	}
@@ -37,13 +37,13 @@ func TestCacheHitMissEviction(t *testing.T) {
 
 	// Fill to capacity, then insert a third key: "a" was refreshed by
 	// the hit above, so "b" is the LRU victim.
-	c.Do("b", 0, build("B"))
-	c.Do("a", 0, build("A3"))
-	c.Do("c", 0, build("C"))
-	if _, cached, _ := c.Do("a", 0, build("A4")); !cached {
+	c.DoContext(context.Background(), "b", 0, build("B"))
+	c.DoContext(context.Background(), "a", 0, build("A3"))
+	c.DoContext(context.Background(), "c", 0, build("C"))
+	if _, cached, _ := c.DoContext(context.Background(), "a", 0, build("A4")); !cached {
 		t.Error("recently used entry evicted")
 	}
-	if _, cached, _ := c.Do("b", 0, build("B2")); cached {
+	if _, cached, _ := c.DoContext(context.Background(), "b", 0, build("B2")); cached {
 		t.Error("LRU victim still cached")
 	}
 
@@ -59,14 +59,14 @@ func TestCacheHitMissEviction(t *testing.T) {
 func TestCacheGenerationInvalidation(t *testing.T) {
 	c := NewForecastCache(4)
 	builds := 0
-	build := func() (any, error) { builds++; return builds, nil }
+	build := func(context.Context) (any, error) { builds++; return builds, nil }
 
-	c.Do("k", 1, build)
-	if _, cached, _ := c.Do("k", 1, build); !cached {
+	c.DoContext(context.Background(), "k", 1, build)
+	if _, cached, _ := c.DoContext(context.Background(), "k", 1, build); !cached {
 		t.Fatal("same-generation lookup missed")
 	}
 	// The store moved on: the artifact is stale regardless of key.
-	v, cached, _ := c.Do("k", 2, build)
+	v, cached, _ := c.DoContext(context.Background(), "k", 2, build)
 	if cached {
 		t.Fatal("stale-generation artifact served")
 	}
@@ -81,13 +81,13 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 func TestCacheErrorsNotStored(t *testing.T) {
 	c := NewForecastCache(4)
 	boom := errors.New("boom")
-	if _, _, err := c.Do("k", 0, func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.DoContext(context.Background(), "k", 0, func(context.Context) (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if c.Len() != 0 {
 		t.Fatal("error result cached")
 	}
-	v, cached, err := c.Do("k", 0, func() (any, error) { return "ok", nil })
+	v, cached, err := c.DoContext(context.Background(), "k", 0, func(context.Context) (any, error) { return "ok", nil })
 	if err != nil || cached || v != "ok" {
 		t.Fatalf("retry after error = %v cached=%v err=%v", v, cached, err)
 	}
@@ -97,7 +97,7 @@ func TestCacheDisabledBypass(t *testing.T) {
 	for _, c := range []*ForecastCache{nil, NewForecastCache(0)} {
 		builds := 0
 		for i := 0; i < 3; i++ {
-			if _, cached, _ := c.Do("k", 0, func() (any, error) { builds++; return builds, nil }); cached {
+			if _, cached, _ := c.DoContext(context.Background(), "k", 0, func(context.Context) (any, error) { builds++; return builds, nil }); cached {
 				t.Fatal("disabled cache reported a hit")
 			}
 		}
@@ -125,7 +125,7 @@ func TestCacheCoalescing(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-started
-			v, _, err := c.Do("k", 0, func() (any, error) {
+			v, _, err := c.DoContext(context.Background(), "k", 0, func(context.Context) (any, error) {
 				builds.Add(1)
 				time.Sleep(50 * time.Millisecond) // hold the flight open
 				return "shared", nil
@@ -163,7 +163,7 @@ func TestCacheStaleGenerationNotCoalesced(t *testing.T) {
 	release := make(chan struct{})
 	oldDone := make(chan any, 1)
 	go func() {
-		v, _, err := c.Do("k", 1, func() (any, error) {
+		v, _, err := c.DoContext(context.Background(), "k", 1, func(context.Context) (any, error) {
 			close(inBuild)
 			<-release
 			return "old", nil
@@ -177,7 +177,7 @@ func TestCacheStaleGenerationNotCoalesced(t *testing.T) {
 
 	freshDone := make(chan any, 1)
 	go func() {
-		v, cached, err := c.Do("k", 2, func() (any, error) { return "new", nil })
+		v, cached, err := c.DoContext(context.Background(), "k", 2, func(context.Context) (any, error) { return "new", nil })
 		if err != nil {
 			t.Error(err)
 		}
@@ -200,7 +200,7 @@ func TestCacheStaleGenerationNotCoalesced(t *testing.T) {
 		t.Fatalf("gen-1 builder returned %v", v)
 	}
 	// The gen-1 build finished last; the cache must still serve gen 2.
-	v, cached, _ := c.Do("k", 2, func() (any, error) { return "rebuilt", nil })
+	v, cached, _ := c.DoContext(context.Background(), "k", 2, func(context.Context) (any, error) { return "rebuilt", nil })
 	if !cached || v != "new" {
 		t.Errorf("cache serves %v (cached=%v), want the gen-2 artifact as a hit", v, cached)
 	}
@@ -218,7 +218,7 @@ func TestCacheCanceledWaiterReturns(t *testing.T) {
 	builderDone := make(chan struct{})
 	go func() {
 		defer close(builderDone)
-		if _, _, err := c.Do("k", 0, func() (any, error) {
+		if _, _, err := c.DoContext(context.Background(), "k", 0, func(context.Context) (any, error) {
 			close(inBuild)
 			<-release
 			return "v", nil
@@ -253,7 +253,7 @@ func TestCacheCanceledWaiterReturns(t *testing.T) {
 	// The flight was not disturbed: it completes and its artifact lands.
 	close(release)
 	<-builderDone
-	v, cached, _ := c.Do("k", 0, func() (any, error) { return "fresh", nil })
+	v, cached, _ := c.DoContext(context.Background(), "k", 0, func(context.Context) (any, error) { return "fresh", nil })
 	if !cached || v != "v" {
 		t.Errorf("flight result lost after a waiter canceled: got %v cached=%v", v, cached)
 	}

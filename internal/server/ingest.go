@@ -6,8 +6,8 @@ package server
 // summarized into whole days exactly as the offline ETL does
 // (etl.FromReports: hours from engine-on seconds, sample-weighted
 // channel means), appended through the incremental write path
-// (Store.Append: suffix-only Clean, append-log durability before
-// visibility, per-vehicle generation bump) and become the tail the
+// (Store.AppendContext: suffix-only Clean, append-log durability
+// before visibility, per-vehicle generation bump) and become the tail the
 // very next forecast trains on — via Plan.ExtendContext when the
 // compiled features can be reused.
 
@@ -124,8 +124,8 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pin the dataset for the whole ingest: the summarize step below
-	// reads its tail, and an eviction between summarize and Append
-	// would force a redundant reload.
+	// reads its tail, and an eviction between summarize and
+	// AppendContext would force a redundant reload.
 	defer release()
 
 	// Backpressure: every admitted batch ends in an fsync, so refuse
@@ -205,8 +205,8 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // summarizeReports folds raw reports into whole summarized days ready
-// for Store.Append, mirroring the offline etl.FromReports aggregation:
-// daily hours are summed engine-on time, channel values are
+// for Store.AppendContext, mirroring the offline etl.FromReports
+// aggregation: daily hours are summed engine-on time, channel values are
 // sample-weighted means, channels outside the dataset's feature set
 // are ignored. Only days strictly after the stored series qualify —
 // reports for days the server already holds are rejected as "stale"

@@ -7,6 +7,7 @@ package server
 // contract intact while eviction races live forecasts and ingests.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net/http/httptest"
@@ -298,7 +299,7 @@ func TestEvictionRacingForecastAndAppend(t *testing.T) {
 					Observed: true,
 					Channels: singleDayChannels(cur),
 				}
-				grown, _, err := store.Append(id, []fstore.Day{day}, etl.MissingForwardFill)
+				grown, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill)
 				if err != nil {
 					t.Errorf("writer %d append %d: %v", vi, i, err)
 					return
@@ -389,7 +390,7 @@ func TestVlocksBounded(t *testing.T) {
 					Observed: true,
 					Channels: singleDayChannels(cur),
 				}
-				grown, _, err := store.Append(id, []fstore.Day{day}, etl.MissingForwardFill)
+				grown, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill)
 				if err != nil {
 					t.Errorf("append: %v", err)
 					return
@@ -512,7 +513,7 @@ func TestDirtyResidents(t *testing.T) {
 		Observed: true,
 		Channels: singleDayChannels(cur),
 	}
-	grown, _, err := store.Append(id, []fstore.Day{day}, etl.MissingForwardFill)
+	grown, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package server
 // warm forecast cache across the restart.
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"reflect"
@@ -356,7 +357,7 @@ func TestStoreAppendLogsAndReplays(t *testing.T) {
 		{Date: last.AddDate(0, 0, 2), Hours: 0, Observed: false, Channels: singleDayChannels(datasets[0])},
 		{Date: last.AddDate(0, 0, 3), Hours: 6.25, Observed: true, Channels: singleDayChannels(datasets[0])},
 	}
-	grown, gen, err := store.Append(id, days, etl.MissingForwardFill)
+	grown, gen, err := store.AppendContext(context.Background(), id, days, etl.MissingForwardFill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,10 +410,10 @@ func TestStoreAppendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.Append("veh-nope", []fstore.Day{{}}, etl.MissingForwardFill); !errors.Is(err, ErrUnknownVehicle) {
+	if _, _, err := store.AppendContext(context.Background(), "veh-nope", []fstore.Day{{}}, etl.MissingForwardFill); !errors.Is(err, ErrUnknownVehicle) {
 		t.Errorf("unknown vehicle error = %v, want ErrUnknownVehicle", err)
 	}
-	if _, _, err := store.Append(datasets[0].VehicleID, nil, etl.MissingForwardFill); err == nil {
+	if _, _, err := store.AppendContext(context.Background(), datasets[0].VehicleID, nil, etl.MissingForwardFill); err == nil {
 		t.Error("empty batch accepted")
 	}
 	// A failing appender must leave memory untouched.
@@ -426,7 +427,7 @@ func TestStoreAppendErrors(t *testing.T) {
 		Observed: true,
 		Channels: singleDayChannels(datasets[0]),
 	}
-	if _, _, err := store.Append(id, []fstore.Day{day}, etl.MissingForwardFill); !errors.Is(err, boom) {
+	if _, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill); !errors.Is(err, boom) {
 		t.Fatalf("Append error = %v, want %v", err, boom)
 	}
 	if d, _ := store.Get(id); d.Len() != datasets[0].Len() {

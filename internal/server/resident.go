@@ -182,7 +182,7 @@ func (s *Store) Acquire(ctx context.Context, id string) (d *etl.VehicleDataset, 
 // vehicle's writer lock; that is what single-flights concurrent faults
 // of the same vehicle.
 func (s *Store) faultLocked(ctx context.Context, id string) (*resident, error) {
-	// Re-check residency: a racing Acquire (or Append) may have
+	// Re-check residency: a racing Acquire (or AppendContext) may have
 	// faulted the vehicle in while this caller waited for the lock.
 	s.mu.Lock()
 	if r, ok := s.res[id]; ok {
@@ -239,8 +239,8 @@ func (s *Store) releaseFunc(id string) func() {
 
 // insertLocked makes d the resident state of its vehicle, reusing the
 // existing entry (and its pins) on an in-place update — which is how
-// Append and Put swap a new dataset in without invalidating the pins
-// in-flight readers hold on the vehicle. Caller holds s.mu.
+// AppendContext and Put swap a new dataset in without invalidating the
+// pins in-flight readers hold on the vehicle. Caller holds s.mu.
 func (s *Store) insertLocked(d *etl.VehicleDataset) *resident {
 	size := d.SizeBytes()
 	r, ok := s.res[d.VehicleID]
@@ -331,8 +331,9 @@ func (s *Store) DirtyResidents() []*etl.VehicleDataset {
 }
 
 // SetCompactor installs the append-log compaction hook, called after
-// every successful Append under that vehicle's writer lock with the
-// grown dataset (fstore.Dir.MaybeCompact curried with the threshold).
+// every successful AppendContext under that vehicle's writer lock with
+// the grown dataset (fstore.Dir.MaybeCompact curried with the
+// threshold).
 // It reports whether it compacted. Compaction failures are logged, not
 // fatal: the append itself is already durable in the log.
 func (s *Store) SetCompactor(fn func(*etl.VehicleDataset) (bool, error)) {

@@ -73,12 +73,12 @@ type Store struct {
 	// persist, when set, is called on every Put before the dataset
 	// becomes visible; a persist failure rejects the Put.
 	persist func(*etl.VehicleDataset) error
-	// appendLog, when set, is the incremental durability hook Append
-	// prefers over persist: one fsynced log record instead of a full
-	// vehicle snapshot per appended batch.
+	// appendLog, when set, is the incremental durability hook
+	// AppendContext prefers over persist: one fsynced log record
+	// instead of a full vehicle snapshot per appended batch.
 	appendLog func(vehicleID string, days ...fstore.Day) error
-	// compact, when set, runs after every successful Append under the
-	// vehicle's writer lock (append-log backlog folding).
+	// compact, when set, runs after every successful AppendContext
+	// under the vehicle's writer lock (append-log backlog folding).
 	compact func(*etl.VehicleDataset) (bool, error)
 
 	// vmu guards vlocks, the per-vehicle writer mutexes. A vehicle's
@@ -121,10 +121,11 @@ func (s *Store) SetPersister(fn func(*etl.VehicleDataset) error) {
 	s.persist = fn
 }
 
-// SetAppender installs the incremental durability hook Append uses:
-// one fsynced append-log record per batch instead of a full vehicle
-// snapshot. The server wires this to fstore.Dir.Append when started
-// with -data-dir; without it, Append falls back to the persister.
+// SetAppender installs the incremental durability hook AppendContext
+// uses: one fsynced append-log record per batch instead of a full
+// vehicle snapshot. The server wires this to fstore.Dir.Append when
+// started with -data-dir; without it, AppendContext falls back to the
+// persister.
 func (s *Store) SetAppender(fn func(vehicleID string, days ...fstore.Day) error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,25 +207,21 @@ func (s *Store) Put(d *etl.VehicleDataset) error {
 	return nil
 }
 
-// Append is the streaming-ingest write path: it extends one vehicle's
-// series with incremental days (as produced by summarizing a report
-// batch), repairs only the appended suffix with the given missing-day
-// policy, makes the result durable, and swaps it in with a generation
-// bump. The stored dataset is never mutated — readers and cached plans
-// keep a consistent view; the append builds on a clone.
+// AppendContext is the streaming-ingest write path: it extends one
+// vehicle's series with incremental days (as produced by summarizing a
+// report batch), repairs only the appended suffix with the given
+// missing-day policy, makes the result durable, and swaps it in with a
+// generation bump. The stored dataset is never mutated — readers and
+// cached plans keep a consistent view; the append builds on a clone.
 //
 // The days logged to the append hook are the CLEANED days, so a replay
 // of the log at load time (which does not re-run Clean) reproduces the
 // in-memory series bit for bit — fingerprints, and therefore cache
 // keys, survive a restart.
 //
-// It returns the grown dataset and the vehicle's new generation.
-func (s *Store) Append(id string, days []fstore.Day, policy etl.MissingPolicy) (*etl.VehicleDataset, uint64, error) {
-	return s.AppendContext(context.Background(), id, days, policy)
-}
-
-// AppendContext is Append with a context for the store.load trace span
-// an evicted vehicle's transparent reload opens.
+// ctx carries the store.load trace span an evicted vehicle's
+// transparent reload opens. It returns the grown dataset and the
+// vehicle's new generation.
 func (s *Store) AppendContext(ctx context.Context, id string, days []fstore.Day, policy etl.MissingPolicy) (*etl.VehicleDataset, uint64, error) {
 	if len(days) == 0 {
 		return nil, 0, fmt.Errorf("server: append to %q with no days", id)

@@ -27,6 +27,7 @@
 package vup
 
 import (
+	"context"
 	"io"
 
 	"vup/internal/core"
@@ -138,13 +139,13 @@ func GenerateDatasets(cfg FleetConfig, seed int64) ([]*Dataset, error) {
 
 // Evaluate runs the hold-out evaluation on one vehicle.
 func Evaluate(d *Dataset, cfg Config) (*Result, error) {
-	return core.EvaluateVehicle(d, cfg)
+	return core.EvaluateVehicleContext(context.Background(), d, cfg)
 }
 
 // EvaluateFleet evaluates every dataset concurrently and aggregates
 // the per-vehicle Percentage Errors.
 func EvaluateFleet(ds []*Dataset, cfg Config, workers int) (*FleetResult, error) {
-	return core.EvaluateFleet(ds, cfg, workers)
+	return core.EvaluateFleetContext(context.Background(), ds, cfg, workers)
 }
 
 // Forecast trains on the most recent window and predicts the next
@@ -158,7 +159,7 @@ func Experiments() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one of the paper's figures or tables.
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentReport, error) {
-	return experiments.Run(id, cfg)
+	return experiments.RunContext(context.Background(), id, cfg)
 }
 
 // SmallExperiments returns the laptop-scale experiment configuration.
