@@ -9,7 +9,7 @@ import (
 // positive-definite matrix A = L·Lᵀ.
 type Cholesky struct {
 	n int
-	l *Matrix
+	l []float64 // row-major n×n; only the lower triangle is written
 }
 
 // NewCholesky factorizes the symmetric positive-definite matrix a.
@@ -21,22 +21,25 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	n := a.Rows
-	l := NewMatrix(n, n)
+	l := make([]float64, n*n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			d -= l.At(j, k) * l.At(j, k)
+		lj := l[j*n : j*n+j]
+		d := a.Data[j*n+j]
+		for _, v := range lj {
+			d -= v * v
 		}
 		if d <= 0 {
 			return nil, fmt.Errorf("%w: non-positive pivot %g at %d", ErrSingular, d, j)
 		}
-		l.Set(j, j, math.Sqrt(d))
+		ljj := math.Sqrt(d)
+		l[j*n+j] = ljj
 		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
+			li := l[i*n : i*n+j]
+			s := a.Data[i*n+j]
+			for k, v := range li {
+				s -= v * lj[k]
 			}
-			l.Set(i, j, s/l.At(j, j))
+			l[i*n+j] = s / ljj
 		}
 	}
 	return &Cholesky{n: n, l: l}, nil
@@ -44,29 +47,27 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 
 // Solve returns x with A·x = b. It returns ErrShape when len(b) != n.
 func (c *Cholesky) Solve(b []float64) ([]float64, error) {
-	if len(b) != c.n {
-		return nil, fmt.Errorf("%w: solve with %d-vector against %dx%d", ErrShape, len(b), c.n, c.n)
+	n, l := c.n, c.l
+	if len(b) != n {
+		return nil, fmt.Errorf("%w: solve with %d-vector against %dx%d", ErrShape, len(b), n, n)
 	}
 	// Forward substitution L·y = b.
-	y := make([]float64, c.n)
-	for i := 0; i < c.n; i++ {
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
 		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= c.l.At(i, k) * y[k]
+		for k, v := range l[i*n : i*n+i] {
+			s -= v * y[k]
 		}
-		y[i] = s / c.l.At(i, i)
+		y[i] = s / l[i*n+i]
 	}
 	// Back substitution Lᵀ·x = y.
-	x := make([]float64, c.n)
-	for i := c.n - 1; i >= 0; i-- {
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
 		s := y[i]
-		for k := i + 1; k < c.n; k++ {
-			s -= c.l.At(k, i) * x[k]
+		for k := i + 1; k < n; k++ {
+			s -= l[k*n+i] * x[k]
 		}
-		x[i] = s / c.l.At(i, i)
+		x[i] = s / l[i*n+i]
 	}
 	return x, nil
 }
-
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }

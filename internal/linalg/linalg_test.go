@@ -18,125 +18,51 @@ func TestNewMatrixPanics(t *testing.T) {
 	NewMatrix(0, 3)
 }
 
-func TestFromRowsAndAccessors(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if m.Rows != 3 || m.Cols != 2 {
-		t.Fatalf("shape %dx%d", m.Rows, m.Cols)
+// fromRows builds a matrix from rectangular row slices.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Row(i), r)
 	}
-	if m.At(1, 0) != 3 || m.At(2, 1) != 6 {
-		t.Errorf("At wrong")
+	return m
+}
+
+// mulVec returns m·x.
+func mulVec(m *Matrix, x []float64) []float64 {
+	out := make([]float64, m.Rows)
+	for i := range out {
+		out[i] = Dot(m.Row(i), x)
 	}
-	m.Set(0, 1, 9)
-	if m.At(0, 1) != 9 {
-		t.Errorf("Set wrong")
+	return out
+}
+
+func TestMatrixRowView(t *testing.T) {
+	m := NewMatrix(3, 2)
+	if m.Rows != 3 || m.Cols != 2 || len(m.Data) != 6 {
+		t.Fatalf("shape %dx%d, %d entries", m.Rows, m.Cols, len(m.Data))
 	}
 	r := m.Row(2)
 	r[0] = 42
-	if m.At(2, 0) != 42 {
+	if m.Data[4] != 42 {
 		t.Errorf("Row should be a view")
 	}
-}
-
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	FromRows([][]float64{{1, 2}, {3}})
-}
-
-func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 || tr.At(0, 1) != 4 {
-		t.Errorf("transpose wrong: %+v", tr)
+	if len(r) != 2 {
+		t.Errorf("Row has %d entries, want 2", len(r))
 	}
 }
 
-func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{19, 22}, {43, 50}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if c.At(i, j) != want[i][j] {
-				t.Fatalf("Mul = %v", c.Data)
-			}
-		}
-	}
-	if _, err := a.Mul(FromRows([][]float64{{1, 2}})); !errors.Is(err, ErrShape) {
-		t.Errorf("want ErrShape, got %v", err)
-	}
-}
-
-func TestMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := NewMatrix(4, 4)
-	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-	}
-	c, err := a.Mul(Identity(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if c.Data[i] != a.Data[i] {
-			t.Fatal("A·I != A")
-		}
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	y, err := a.MulVec([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y[0] != 6 || y[1] != 15 {
-		t.Errorf("MulVec = %v", y)
-	}
-	if _, err := a.MulVec([]float64{1}); !errors.Is(err, ErrShape) {
-		t.Errorf("want ErrShape, got %v", err)
-	}
-}
-
-func TestDotNorm(t *testing.T) {
+func TestDot(t *testing.T) {
 	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
 		t.Error("Dot wrong")
 	}
-	if !almost(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Error("Norm2 wrong")
-	}
-	if Norm2(nil) != 0 {
-		t.Error("Norm2(nil) should be 0")
-	}
-	// Norm2 must not overflow for huge entries.
-	big := math.MaxFloat64 / 2
-	if v := Norm2([]float64{big, big}); math.IsInf(v, 1) {
-		t.Error("Norm2 overflowed")
-	}
-}
-
-func TestAXPYScale(t *testing.T) {
-	y := []float64{1, 2}
-	AXPY(2, []float64{10, 20}, y)
-	if y[0] != 21 || y[1] != 42 {
-		t.Errorf("AXPY = %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 10.5 || y[1] != 21 {
-		t.Errorf("Scale = %v", y)
+	if Dot(nil, nil) != 0 {
+		t.Error("Dot(nil, nil) should be 0")
 	}
 }
 
 func TestLeastSquaresExact(t *testing.T) {
 	// Square nonsingular system: solve exactly.
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
 	x, err := LeastSquares(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +81,7 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 		rows[i] = []float64{1, v}
 		b[i] = 2*v + 1
 	}
-	x, err := LeastSquares(FromRows(rows), b)
+	x, err := LeastSquares(fromRows(rows), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,41 +108,40 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ax, _ := a.MulVec(x)
-		res := make([]float64, m)
-		for i := range res {
-			res[i] = ax[i] - b[i]
-		}
-		atr, _ := a.T().MulVec(res)
-		for _, v := range atr {
-			if math.Abs(v) > 1e-8 {
-				t.Fatalf("normal equations violated: %v", atr)
+		ax := mulVec(a, x)
+		for j := 0; j < n; j++ {
+			var atr float64
+			for i := 0; i < m; i++ {
+				atr += a.Data[i*n+j] * (ax[i] - b[i])
+			}
+			if math.Abs(atr) > 1e-8 {
+				t.Fatalf("normal equations violated at column %d: %v", j, atr)
 			}
 		}
 	}
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	if _, err := LeastSquares(a, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape, got %v", err)
 	}
-	under := FromRows([][]float64{{1, 2, 3}})
+	under := fromRows([][]float64{{1, 2, 3}})
 	if _, err := LeastSquares(under, []float64{1}); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape for underdetermined, got %v", err)
 	}
-	sing := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	sing := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	if _, err := LeastSquares(sing, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
 		t.Errorf("want ErrSingular, got %v", err)
 	}
-	zero := FromRows([][]float64{{0, 1}, {0, 2}})
+	zero := fromRows([][]float64{{0, 1}, {0, 2}})
 	if _, err := LeastSquares(zero, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Errorf("want ErrSingular for zero column, got %v", err)
 	}
 }
 
 func TestCholeskySolve(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
+	a := fromRows([][]float64{{4, 2}, {2, 3}})
 	c, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +151,7 @@ func TestCholeskySolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify A·x = b.
-	ax, _ := a.MulVec(x)
+	ax := mulVec(a, x)
 	if !almost(ax[0], 10, 1e-10) || !almost(ax[1], 9, 1e-10) {
 		t.Errorf("A·x = %v", ax)
 	}
@@ -241,20 +166,23 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 		for i := range m.Data {
 			m.Data[i] = rng.NormFloat64()
 		}
-		mt := m.T()
-		a, _ := mt.Mul(m)
+		a := gram(m)
 		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+1)
+			a.Data[i*n+i]++
 		}
 		c, err := NewCholesky(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l := c.L()
-		llt, _ := l.Mul(l.T())
-		for i := range a.Data {
-			if !almost(llt.Data[i], a.Data[i], 1e-8) {
-				t.Fatalf("L·Lᵀ != A at %d: %v vs %v", i, llt.Data[i], a.Data[i])
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				var llt float64
+				for k := 0; k < n; k++ {
+					llt += c.l[i*n+k] * c.l[j*n+k]
+				}
+				if !almost(llt, a.Data[i*n+j], 1e-8) {
+					t.Fatalf("L·Lᵀ != A at (%d,%d): %v vs %v", i, j, llt, a.Data[i*n+j])
+				}
 			}
 		}
 		// Random solve round-trip.
@@ -266,7 +194,7 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ax, _ := a.MulVec(x)
+		ax := mulVec(a, x)
 		for i := range b {
 			if !almost(ax[i], b[i], 1e-8) {
 				t.Fatalf("solve wrong at %d", i)
@@ -276,14 +204,14 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 }
 
 func TestCholeskyErrors(t *testing.T) {
-	if _, err := NewCholesky(FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})); !errors.Is(err, ErrShape) {
+	if _, err := NewCholesky(fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})); !errors.Is(err, ErrShape) {
 		t.Errorf("want ErrShape, got %v", err)
 	}
 	// Not positive definite.
-	if _, err := NewCholesky(FromRows([][]float64{{1, 2}, {2, 1}})); !errors.Is(err, ErrSingular) {
+	if _, err := NewCholesky(fromRows([][]float64{{1, 2}, {2, 1}})); !errors.Is(err, ErrSingular) {
 		t.Errorf("want ErrSingular, got %v", err)
 	}
-	c, err := NewCholesky(FromRows([][]float64{{2, 0}, {0, 2}}))
+	c, err := NewCholesky(fromRows([][]float64{{2, 0}, {0, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +238,13 @@ func TestLeastSquaresAgainstCholesky(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		at := a.T()
-		ata, _ := at.Mul(a)
-		atb, _ := at.MulVec(b)
-		c, err := NewCholesky(ata)
+		atb := make([]float64, n)
+		for i := 0; i < m; i++ {
+			for j := range atb {
+				atb[j] += a.Data[i*n+j] * b[i]
+			}
+		}
+		c, err := NewCholesky(gram(a))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,5 +257,53 @@ func TestLeastSquaresAgainstCholesky(t *testing.T) {
 				t.Fatalf("QR vs Cholesky mismatch: %v vs %v", xqr, xch)
 			}
 		}
+	}
+}
+
+// gram returns AᵀA.
+func gram(a *Matrix) *Matrix {
+	g := NewMatrix(a.Cols, a.Cols)
+	for r := 0; r < a.Rows; r++ {
+		row := a.Row(r)
+		for i, ai := range row {
+			for j, aj := range row {
+				g.Data[i*a.Cols+j] += ai * aj
+			}
+		}
+	}
+	return g
+}
+
+func TestCholeskyHandFactored(t *testing.T) {
+	// A = L·Lᵀ with L = [2 0 0; 1 3 0; −1 2 4]. Every intermediate of
+	// the factorization and of the solve below is exact in float64, so
+	// the comparisons are exact. The upper triangle holds garbage: only
+	// the lower triangle may be read.
+	a := fromRows([][]float64{
+		{4, 99, 99},
+		{2, 10, 99},
+		{-2, 5, 21},
+	})
+	c, err := NewCholesky(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{
+		2, 0, 0,
+		1, 3, 0,
+		-1, 2, 4,
+	}
+	for i, w := range want {
+		if c.l[i] != w {
+			t.Fatalf("L = %v, want %v", c.l, want)
+		}
+	}
+	// b = A·[1 2 3].
+	x, err := c.Solve([]float64{2, 37, 71})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x[0] != 1 || x[1] != 2 || x[2] != 3 {
+		t.Errorf("x = %v, want [1 2 3]", x)
 	}
 }

@@ -1,13 +1,12 @@
 // Package linalg provides the small dense linear-algebra kernel behind
-// the regression models: matrices, vectors, Householder QR least
-// squares and Cholesky factorization. It is deliberately minimal —
-// everything the OLS, Lasso and SVR solvers need and nothing more.
+// the linear regression models: a row-major matrix, Householder QR
+// least squares and Cholesky factorization. It is deliberately
+// minimal — what the OLS and ridge solvers need and nothing more.
 package linalg
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrSingular is returned when a factorization meets a (numerically)
@@ -32,92 +31,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices, which must be non-empty
-// and rectangular.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows with empty input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic("linalg: FromRows with ragged input")
-		}
-		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
-	}
-	return m
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// Mul returns the product m·o. It returns ErrShape when the inner
-// dimensions disagree.
-func (m *Matrix) Mul(o *Matrix) (*Matrix, error) {
-	if m.Cols != o.Rows {
-		return nil, fmt.Errorf("%w: %dx%d · %dx%d", ErrShape, m.Rows, m.Cols, o.Rows, o.Cols)
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mi := m.Data[i*m.Cols : (i+1)*m.Cols]
-		oi := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mik := range mi {
-			if mik == 0 {
-				continue
-			}
-			ok := o.Data[k*o.Cols : (k+1)*o.Cols]
-			for j, okj := range ok {
-				oi[j] += mik * okj
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns m·x. It returns ErrShape when len(x) != m.Cols.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("%w: %dx%d · vec(%d)", ErrShape, m.Rows, m.Cols, len(x))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out, nil
-}
 
 // Dot returns the inner product of a and b; it panics on length
 // mismatch because that is always a programming error.
@@ -130,42 +45,4 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	// Scaled accumulation avoids overflow for large entries.
-	scale, ssq := 0.0, 1.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			r := scale / av
-			ssq = 1 + ssq*r*r
-			scale = av
-		} else {
-			r := av / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
-// AXPY computes y += alpha*x in place; it panics on length mismatch.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
 }

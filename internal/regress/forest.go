@@ -139,8 +139,7 @@ func (m *Ridge) Fit(x [][]float64, y []float64) error {
 		return err
 	}
 	m.linear = Linear{RidgeFallback: m.Alpha}
-	a := buildDesign(x, p)
-	beta, err := ridgeSolve(a, y, m.Alpha)
+	beta, err := ridgeSolve(x, y, m.Alpha)
 	if err != nil {
 		return err
 	}

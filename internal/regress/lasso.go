@@ -5,20 +5,20 @@ import (
 	"math"
 )
 
-// Lasso is L1-regularized linear regression fitted by cyclic
-// coordinate descent on standardized features, matching scikit-learn's
-// objective
+// Lasso is L1-regularized linear regression fitted by covariance-update
+// cyclic coordinate descent on standardized features, matching
+// scikit-learn's objective
 //
 //	(1/(2n))·||y − Xβ||² + α·||β||₁
 //
 // The paper's grid search selected α = 0.1 (Section 4.2).
 type Lasso struct {
-	// Alpha is the L1 penalty. Must be >= 0.
+	// Alpha is the L1 penalty. Must be >= 0 and not NaN.
 	Alpha float64
 	// MaxIter bounds the coordinate-descent sweeps (default 1000).
 	MaxIter int
 	// Tol is the convergence threshold on the max coefficient change
-	// (default 1e-6).
+	// (default 1e-6). Must not be NaN.
 	Tol float64
 
 	coef      []float64
@@ -40,8 +40,11 @@ func (m *Lasso) Fit(x [][]float64, y []float64) error {
 	if err != nil {
 		return err
 	}
-	if m.Alpha < 0 {
-		return fmt.Errorf("%w: lasso alpha %v < 0", ErrBadParam, m.Alpha)
+	if m.Alpha < 0 || math.IsNaN(m.Alpha) {
+		return fmt.Errorf("%w: lasso alpha %v", ErrBadParam, m.Alpha)
+	}
+	if math.IsNaN(m.Tol) {
+		return fmt.Errorf("%w: lasso tol %v", ErrBadParam, m.Tol)
 	}
 	maxIter := m.MaxIter
 	if maxIter <= 0 {
@@ -57,8 +60,9 @@ func (m *Lasso) Fit(x [][]float64, y []float64) error {
 	m.means = make([]float64, p)
 	m.stds = make([]float64, p)
 	cols := make([][]float64, p)
+	colBuf := make([]float64, n*p)
 	for j := 0; j < p; j++ {
-		col := make([]float64, n)
+		col := colBuf[j*n : (j+1)*n : (j+1)*n]
 		var sum float64
 		for i := 0; i < n; i++ {
 			col[i] = x[i][j]
@@ -89,8 +93,23 @@ func (m *Lasso) Fit(x [][]float64, y []float64) error {
 		resid[i] = y[i] - yMean
 	}
 
-	// Cyclic coordinate descent with soft thresholding. With unit-
-	// variance columns, each column's squared norm is n.
+	// Cyclic coordinate descent with soft thresholding, in covariance-
+	// update form: g = Cᵀ·resid over the standardized columns C is kept
+	// current instead of the n-vector residual itself. A move of βⱼ by δ
+	// changes g by −δ·CᵀC[:,j], and that Gram column is formed the first
+	// time βⱼ moves, so a sweep costs O(p) per moving coordinate rather
+	// than O(n). With unit-variance columns, each column's squared norm
+	// is n.
+	active := make([]int, 0, p) // non-constant columns
+	for j, std := range m.stds {
+		if std != 0 {
+			active = append(active, j)
+		}
+	}
+	g := make([]float64, p)
+	dotsInto(g, cols, active, resid)
+	gram := make([][]float64, p)
+	todo := make([]int, 0, p)
 	beta := make([]float64, p)
 	threshold := m.Alpha * float64(n)
 	for iter := 0; iter < maxIter; iter++ {
@@ -99,17 +118,15 @@ func (m *Lasso) Fit(x [][]float64, y []float64) error {
 			if m.stds[j] == 0 {
 				continue // constant feature stays at zero
 			}
-			col := cols[j]
-			// rho = Xⱼᵀ(resid + Xⱼβⱼ)
-			rho := 0.0
-			for i := range col {
-				rho += col[i] * resid[i]
-			}
-			rho += float64(n) * beta[j]
+			// rho = Cⱼᵀ(resid + Cⱼβⱼ)
+			rho := g[j] + float64(n)*beta[j]
 			newBeta := softThreshold(rho, threshold) / float64(n)
 			if delta := newBeta - beta[j]; delta != 0 {
-				for i := range col {
-					resid[i] -= delta * col[i]
+				if gram[j] == nil {
+					gram[j] = gramColumn(gram, cols, j, todo)
+				}
+				for k, v := range gram[j] {
+					g[k] -= delta * v
 				}
 				if ad := math.Abs(delta); ad > maxDelta {
 					maxDelta = ad
@@ -134,6 +151,48 @@ func (m *Lasso) Fit(x [][]float64, y []float64) error {
 	}
 	m.p = p
 	return nil
+}
+
+// gramColumn returns CᵀC[:,j] for the columns C. Entries of Gram
+// columns already formed are copied from their symmetric twin; todo is
+// scratch for the indices left to compute.
+func gramColumn(gram, cols [][]float64, j int, todo []int) []float64 {
+	out := make([]float64, len(cols))
+	todo = todo[:0]
+	for k, gk := range gram {
+		if gk != nil {
+			out[k] = gk[j]
+		} else {
+			todo = append(todo, k)
+		}
+	}
+	dotsInto(out, cols, todo, cols[j])
+	return out
+}
+
+// dotsInto sets out[k] = cols[k]·v for every k in idx. It works on
+// four columns at a time so the four sums run side by side; each is
+// still accumulated over the rows in order.
+func dotsInto(out []float64, cols [][]float64, idx []int, v []float64) {
+	for ; len(idx) >= 4; idx = idx[4:] {
+		a, b := cols[idx[0]][:len(v)], cols[idx[1]][:len(v)]
+		c, d := cols[idx[2]][:len(v)], cols[idx[3]][:len(v)]
+		var sa, sb, sc, sd float64
+		for i, vi := range v {
+			sa += a[i] * vi
+			sb += b[i] * vi
+			sc += c[i] * vi
+			sd += d[i] * vi
+		}
+		out[idx[0]], out[idx[1]], out[idx[2]], out[idx[3]] = sa, sb, sc, sd
+	}
+	for _, k := range idx {
+		var s float64
+		for i, ck := range cols[k][:len(v)] {
+			s += ck * v[i]
+		}
+		out[k] = s
+	}
 }
 
 func softThreshold(z, gamma float64) float64 {

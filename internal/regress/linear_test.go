@@ -205,12 +205,84 @@ func TestLassoErrors(t *testing.T) {
 	if _, err := m.Predict([]float64{1}); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("want ErrNotTrained, got %v", err)
 	}
-	bad := &Lasso{Alpha: -1}
-	if err := bad.Fit([][]float64{{1}}, []float64{1}); !errors.Is(err, ErrBadParam) {
-		t.Errorf("want ErrBadParam, got %v", err)
+	for _, bad := range []*Lasso{{Alpha: -1}, {Alpha: math.NaN()}, {Alpha: 0.1, Tol: math.NaN()}} {
+		if err := bad.Fit([][]float64{{1}, {2}}, []float64{1, 2}); !errors.Is(err, ErrBadParam) {
+			t.Errorf("Alpha %v Tol %v: want ErrBadParam, got %v", bad.Alpha, bad.Tol, err)
+		}
 	}
 	if m.Name() != "Lasso" {
 		t.Error("name wrong")
+	}
+}
+
+func TestLassoOrthogonalClosedForm(t *testing.T) {
+	// Centered, mutually orthogonal ±1 columns (Walsh functions),
+	// scaled by s: the standardized columns are the ±1 columns c
+	// themselves, so coordinate descent converges in one sweep to
+	// βⱼ = S(cⱼᵀ(y−ȳ), α·n)/(n·sⱼ), and the intercept is ȳ.
+	walsh := [][]float64{
+		{1, -1, 1, -1, 1, -1, 1, -1},
+		{1, 1, -1, -1, 1, 1, -1, -1},
+		{1, 1, 1, 1, -1, -1, -1, -1},
+	}
+	scale := []float64{2.5, 0.5, 4}
+	y := []float64{3.1, 0.4, 2.2, -1.7, 5.0, 0.9, 1.3, -0.6}
+	n := len(y)
+	x := make([][]float64, n)
+	for i := range x {
+		x[i] = make([]float64, len(walsh))
+		for j, w := range walsh {
+			x[i][j] = scale[j] * w[i]
+		}
+	}
+	var yMean float64
+	for _, v := range y {
+		yMean += v
+	}
+	yMean /= float64(n)
+	for _, alpha := range []float64{0, 0.1, 0.3, 10} {
+		m := &Lasso{Alpha: alpha}
+		if err := m.Fit(x, y); err != nil {
+			t.Fatal(err)
+		}
+		coef := m.Coefficients()
+		for j, w := range walsh {
+			var cy float64
+			for i, v := range y {
+				cy += w[i] * (v - yMean)
+			}
+			want := softThreshold(cy, alpha*float64(n)) / (float64(n) * scale[j])
+			if math.Abs(coef[j]-want) > 1e-12 {
+				t.Errorf("α=%g: β[%d] = %v, closed form %v", alpha, j, coef[j], want)
+			}
+		}
+		if math.Abs(m.Intercept()-yMean) > 1e-12 {
+			t.Errorf("α=%g: intercept %v, want ȳ = %v", alpha, m.Intercept(), yMean)
+		}
+	}
+}
+
+func TestLinearZeroColumnClosedForm(t *testing.T) {
+	// An all-zero column has no information: its coefficient is
+	// exactly zero and the rest match OLS on the design without it.
+	x, y := makeLinearData(60, 0.3, 8)
+	withZero := make([][]float64, len(x))
+	for i, row := range x {
+		withZero[i] = []float64{row[0], 0, row[1]}
+	}
+	full, reduced := NewLinear(), NewLinear()
+	if err := full.Fit(withZero, y); err != nil {
+		t.Fatal(err)
+	}
+	if err := reduced.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	fc, rc := full.Coefficients(), reduced.Coefficients()
+	if fc[1] != 0 {
+		t.Errorf("zero-column coefficient = %v, want exactly 0", fc[1])
+	}
+	if math.Abs(fc[0]-rc[0]) > 1e-6 || math.Abs(fc[2]-rc[1]) > 1e-6 || math.Abs(full.Intercept()-reduced.Intercept()) > 1e-6 {
+		t.Errorf("with zero column %v + %v, reduced OLS %v + %v", full.Intercept(), fc, reduced.Intercept(), rc)
 	}
 }
 
