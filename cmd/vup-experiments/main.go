@@ -10,15 +10,17 @@
 //	vup-experiments -list                # list experiment IDs
 //	vup-experiments -run fig5a -timing   # append the per-algorithm stage
 //	                                     # timing table (Section 4.5, live)
-//	vup-experiments -workers 1           # sequential sweep (byte-identical
-//	                                     # report, reference for timings)
+//	vup-experiments -workers 1           # one vehicle at a time (byte-
+//	                                     # identical report)
 //	vup-experiments -run fig5a -trace    # per-experiment span waterfall on
 //	                                     # stderr (stdout unchanged)
 //
 // The sweeps fan out on a bounded worker pool (internal/parallel);
-// -workers caps it (default: all CPUs). Reports are byte-identical for
-// any -workers value: progress and wall-clock lines go to stderr, so
-// stdout can be diffed across settings.
+// -workers caps it (default: GOMAXPROCS). Each vehicle's evaluation
+// also fans its hold-out windows out over GOMAXPROCS workers, so
+// -workers 1 runs one vehicle at a time, not one CPU. Reports are
+// byte-identical for any -workers value: progress and wall-clock lines
+// go to stderr, so stdout can be diffed across settings.
 package main
 
 import (
@@ -48,7 +50,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		timing   = flag.Bool("timing", false, "print the collected pipeline stage timings after the run (live Section 4.5 table)")
-		workers  = flag.Int("workers", 0, "worker-pool size for the parallel sweeps (<=0: all CPUs; 1: sequential). Reports are byte-identical at any setting")
+		workers  = flag.Int("workers", 0, "worker-pool size for the parallel sweeps (<=0: GOMAXPROCS; 1: one vehicle at a time, its windows still fan out). Reports are byte-identical at any setting")
 		traced   = flag.Bool("trace", false, "trace each experiment and print its span waterfall to stderr (stdout stays byte-identical)")
 		storeDir = flag.String("store-dir", "", "save the evaluation fleet as a binary store directory (internal/fstore) before running, so a vup-server can serve the exact datasets the figures used")
 	)

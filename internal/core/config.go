@@ -39,7 +39,10 @@ type Config struct {
 	Algorithm regress.Algorithm
 	// ModelFactory, when set, overrides Algorithm with custom-built
 	// models (e.g. non-default hyper-parameters). Algorithm is then
-	// only used as the result label.
+	// only used as the result label. One evaluation calls it from
+	// several goroutines at once (one per window worker), so it must be
+	// safe for concurrent use; each model it returns is used by one
+	// goroutine only.
 	ModelFactory func() (regress.Regressor, error)
 	// Scenario selects next-day or next-working-day prediction.
 	Scenario Scenario

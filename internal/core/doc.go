@@ -17,7 +17,8 @@
 // per-window steps then run over the plan: [Plan.EvaluateContext]
 // re-ranks lags and gathers each window's matrix from the superset by
 // block copies (feature generation + selection, Section 4.1 steps
-// 1-3), [Plan.FitContext] trains the most-recent-window model and
+// 1-3), running the independent windows on GOMAXPROCS workers and
+// merging them in window order, [Plan.FitContext] trains the most-recent-window model and
 // returns a [Fitted] artifact (step 4 for serving), and
 // [Plan.ForecastIntervalContext] calibrates a residual-quantile band
 // from a single evaluation pass (goal iii). [Fitted.ForecastContext]

@@ -31,7 +31,8 @@ type FleetResult struct {
 
 // EvaluateFleetContext evaluates cfg on every dataset through the
 // bounded worker pool of vup/internal/parallel (<=0 workers selects
-// every CPU). Vehicles that cannot be evaluated (short series,
+// GOMAXPROCS; each vehicle's evaluation fans its windows out on a pool
+// of its own). Vehicles that cannot be evaluated (short series,
 // all-idle) are collected in Failed rather than aborting the fleet
 // run. The pool derives per-worker contexts from ctx, so when it
 // carries an active trace the per-vehicle evaluations appear as

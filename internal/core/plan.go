@@ -4,12 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"vup/internal/etl"
 	"vup/internal/featsel"
 	"vup/internal/geo"
 	"vup/internal/obs/trace"
+	"vup/internal/parallel"
 	"vup/internal/regress"
 	"vup/internal/stats"
 	"vup/internal/timeseries"
@@ -26,7 +28,8 @@ import (
 // path) compile once and share it.
 //
 // A Plan is immutable after NewPlanContext and safe for concurrent
-// use; the per-run scratch lives in EvaluateContext and Fitted.
+// use; the per-window scratch of EvaluateContext comes from a pool
+// shared by its workers, and Fitted builds its own per call.
 type Plan struct {
 	cfg  Config
 	d    *etl.VehicleDataset // original dataset: identity + country
@@ -202,9 +205,15 @@ func clampHours(pred float64) float64 {
 // feature selection per window, gather the window's matrix from the
 // superset, train a fresh model and predict the test day. When ctx
 // carries an active trace span, the hold-out run is recorded as a
-// "plan.evaluate" child with window and skip counts.
+// "plan.evaluate" child with window, skip and worker counts.
+//
+// The windows are independent, so they fan out over a GOMAXPROCS-sized
+// pool (stage "evaluate_windows"); outcomes are merged in window order,
+// so the result and any returned error are those of a serial loop.
+// Cancelling ctx does not stop the windows: an evaluation shared by
+// coalesced callers must not fail them when its first caller leaves.
 func (p *Plan) EvaluateContext(ctx context.Context) (res *Result, err error) {
-	_, sp := trace.Start(ctx, "plan.evaluate")
+	ctx, sp := trace.Start(ctx, "plan.evaluate")
 	if sp != nil {
 		sp.SetAttr("vehicle", p.d.VehicleID)
 		defer func() {
@@ -216,58 +225,64 @@ func (p *Plan) EvaluateContext(ctx context.Context) (res *Result, err error) {
 			sp.End()
 		}()
 	}
-	return p.evaluate()
+	return p.evaluate(ctx, sp)
 }
 
-func (p *Plan) evaluate() (*Result, error) {
+// windowOutcome is what one hold-out window produced: a prediction
+// and the lags it used, a skip (lags nil), or an error.
+type windowOutcome struct {
+	lags []int
+	pred float64
+	err  error
+}
+
+// windowScratch is the reusable per-worker state of the window
+// fan-out: the training-matrix scratch and the test-day row.
+type windowScratch struct {
+	feat featsel.Scratch
+	row  []float64
+}
+
+var windowScratchPool = sync.Pool{New: func() any { return new(windowScratch) }}
+
+func (p *Plan) evaluate(ctx context.Context, sp *trace.Span) (*Result, error) {
 	windows, err := timeseries.Enumerate(p.view.Len(), p.cfg.W, p.cfg.Strategy)
 	if err != nil {
 		return nil, fmt.Errorf("core: vehicle %s: %w", p.d.VehicleID, err)
 	}
+	n := (len(windows) + p.cfg.Stride - 1) / p.cfg.Stride
+	outcomes := make([]windowOutcome, n)
+	opts := parallel.Options{Stage: "evaluate_windows"}
+	sp.SetAttrInt("workers", opts.WorkerCount(n))
+	err = parallel.ForEach(context.WithoutCancel(ctx), n, opts, func(_ context.Context, k int) error {
+		s := windowScratchPool.Get().(*windowScratch)
+		defer windowScratchPool.Put(s)
+		outcomes[k] = p.evaluateWindow(s, windows[k*p.cfg.Stride], k*p.cfg.Stride)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	res := &Result{VehicleID: p.d.VehicleID, Algorithm: p.cfg.Algorithm, Scenario: p.cfg.Scenario}
 	var preds, actuals []float64
-	var scratch featsel.Scratch
-	var rowBuf []float64
-	for wi := 0; wi < len(windows); wi += p.cfg.Stride {
-		win := windows[wi]
-		lags := p.selectLags(win.TrainFrom, win.TrainTo)
-		mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
-		x, y, err := p.mat.MatrixInto(&scratch, lags, win.TrainFrom, win.TrainTo)
-		featureBuildSeconds.With().ObserveSince(mt)
-		if err != nil || len(x) < p.cfg.MinTrainRows {
+	for k, o := range outcomes {
+		if o.err != nil {
+			return nil, o.err
+		}
+		if o.lags == nil {
 			res.SkippedWindows++
 			continue
 		}
-		if w := p.mat.RowWidth(lags); cap(rowBuf) < w {
-			rowBuf = make([]float64, w)
-		} else {
-			rowBuf = rowBuf[:w]
-		}
-		if !p.mat.GatherRow(rowBuf, win.Test, lags) {
-			res.SkippedWindows++
-			continue
-		}
-		model, err := p.cfg.newModel()
-		if err != nil {
-			return nil, err
-		}
-		if err := model.Fit(x, y); err != nil {
-			res.SkippedWindows++
-			continue
-		}
-		pred, err := model.Predict(rowBuf)
-		if err != nil {
-			return nil, fmt.Errorf("core: vehicle %s window %d: %w", p.d.VehicleID, wi, err)
-		}
-		pred = clampHours(pred)
+		win := windows[k*p.cfg.Stride]
 		res.Predictions = append(res.Predictions, Prediction{
 			Index:     win.Test,
 			Date:      viewDate(p.view, win.Test),
 			Actual:    p.view.Hours[win.Test],
-			Predicted: pred,
-			Lags:      lags,
+			Predicted: o.pred,
+			Lags:      o.lags,
 		})
-		preds = append(preds, pred)
+		preds = append(preds, o.pred)
 		actuals = append(actuals, p.view.Hours[win.Test])
 	}
 	if len(preds) == 0 {
@@ -280,6 +295,39 @@ func (p *Plan) evaluate() (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// evaluateWindow selects lags, trains a fresh model and predicts the
+// test day of window wi, using s for the training matrix and the test
+// row. A window without enough rows, or whose fit fails, is skipped.
+func (p *Plan) evaluateWindow(s *windowScratch, win timeseries.Window, wi int) windowOutcome {
+	lags := p.selectLags(win.TrainFrom, win.TrainTo)
+	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
+	x, y, err := p.mat.MatrixInto(&s.feat, lags, win.TrainFrom, win.TrainTo)
+	featureBuildSeconds.With().ObserveSince(mt)
+	if err != nil || len(x) < p.cfg.MinTrainRows {
+		return windowOutcome{}
+	}
+	if w := p.mat.RowWidth(lags); cap(s.row) < w {
+		s.row = make([]float64, w)
+	} else {
+		s.row = s.row[:w]
+	}
+	if !p.mat.GatherRow(s.row, win.Test, lags) {
+		return windowOutcome{}
+	}
+	model, err := p.cfg.newModel()
+	if err != nil {
+		return windowOutcome{err: err}
+	}
+	if err := model.Fit(x, y); err != nil {
+		return windowOutcome{}
+	}
+	pred, err := model.Predict(s.row)
+	if err != nil {
+		return windowOutcome{err: fmt.Errorf("core: vehicle %s window %d: %w", p.d.VehicleID, wi, err)}
+	}
+	return windowOutcome{lags: lags, pred: clampHours(pred)}
 }
 
 // Fitted is a trained forecasting artifact: the plan it was compiled

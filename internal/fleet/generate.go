@@ -129,13 +129,13 @@ func (f *Fleet) Models() []Model {
 }
 
 // SimulateAll generates the usage series of every unit, keyed by
-// vehicle ID, using every CPU.
+// vehicle ID, with one worker per GOMAXPROCS.
 func (f *Fleet) SimulateAll() map[string][]DayUsage {
 	return f.SimulateAllWorkers(0)
 }
 
 // SimulateAllWorkers is SimulateAll with a bounded worker count (<=0
-// selects every CPU). The output is identical for any worker count:
+// selects GOMAXPROCS). The output is identical for any worker count:
 // each unit's UsageModel owns an independent RNG stream split off in
 // fleet order at Generate time, so per-unit simulation consumes no
 // shared state and the series per unit does not depend on which

@@ -7,9 +7,12 @@
 // per-algorithm × per-grid-point runs of the same rolling-window
 // evaluation — and every one of those fan-outs runs through [ForEach]
 // or [Map]: the per-vehicle loop of
-// [vup/internal/core.EvaluateFleetContext], the per-unit simulation of
-// the [vup/internal/fleet] generator, and the per-algorithm and
-// per-search loops of [vup/internal/experiments].
+// [vup/internal/core.EvaluateFleetContext], the hold-out windows of one
+// vehicle's evaluation in [vup/internal/core.Plan.EvaluateContext]
+// (stage "evaluate_windows"), the per-unit simulation of the
+// [vup/internal/fleet] generator, and the per-algorithm and per-search
+// loops of [vup/internal/experiments]. The pools nest: a fleet sweep's
+// vehicle jobs each run a window pool of their own.
 //
 // Determinism is the design constraint, not throughput: a parallel run
 // must be byte-identical to the sequential one. The rules that make

@@ -30,7 +30,8 @@ var (
 // Options bounds and labels one fan-out.
 type Options struct {
 	// Workers caps the number of concurrently executing jobs. Values
-	// <= 0 select runtime.NumCPU(). Workers=1 degenerates to a strictly
+	// <= 0 select runtime.GOMAXPROCS(0): more workers than that could
+	// never run at the same time. Workers=1 degenerates to a strictly
 	// sequential in-order loop, which is the reference the determinism
 	// tests compare parallel runs against.
 	Workers int
@@ -39,10 +40,12 @@ type Options struct {
 	Stage string
 }
 
-func (o Options) workers(n int) int {
+// WorkerCount returns the number of workers ForEach starts for n
+// jobs: Workers (or GOMAXPROCS when Workers <= 0), capped at n.
+func (o Options) WorkerCount(n int) int {
 	w := o.Workers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
 		w = n
@@ -85,7 +88,7 @@ func ForEach(ctx context.Context, n int, opts Options, fn func(ctx context.Conte
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	workers := opts.workers(n)
+	workers := opts.WorkerCount(n)
 	stage := opts.stage()
 	inFlight := jobsInFlight.With(stage)
 	seconds := jobSeconds.With(stage)

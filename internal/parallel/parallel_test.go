@@ -157,15 +157,50 @@ func TestMapError(t *testing.T) {
 
 func TestDefaultWorkers(t *testing.T) {
 	o := Options{}
-	if got := o.workers(1 << 30); got != runtime.NumCPU() {
-		t.Errorf("default workers = %d, want NumCPU %d", got, runtime.NumCPU())
+	procs := runtime.GOMAXPROCS(0)
+	if got := o.WorkerCount(1 << 30); got != procs {
+		t.Errorf("default workers = %d, want GOMAXPROCS %d", got, procs)
 	}
-	if got := o.workers(2); got != min(2, runtime.NumCPU()) {
+	if got := o.WorkerCount(2); got != min(2, procs) {
 		t.Errorf("workers not capped by n: %d", got)
 	}
 	o.Workers = 5
-	if got := o.workers(100); got != 5 {
+	if got := o.WorkerCount(100); got != 5 {
 		t.Errorf("explicit workers = %d", got)
+	}
+}
+
+// TestDefaultWorkersFollowGOMAXPROCS pins the default pool to the
+// procs that can run Go code at once, not the host's CPU count: at
+// GOMAXPROCS 1 the default pool is one worker running jobs in order,
+// even when each job blocks and would let a second worker in.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := (Options{}).WorkerCount(8); got != 1 {
+		t.Fatalf("WorkerCount(8) at GOMAXPROCS 1 = %d, want 1", got)
+	}
+	var inFlight, peak atomic.Int32
+	order := make([]int, 0, 8)
+	err := ForEach(context.Background(), 8, Options{}, func(_ context.Context, i int) error {
+		cur := inFlight.Add(1)
+		if cur > peak.Load() {
+			peak.Store(cur)
+		}
+		order = append(order, i) // safe only if one worker runs
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("peak concurrency %d, want 1 worker", p)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("jobs ran out of order: %v", order)
+		}
 	}
 }
 

@@ -3,6 +3,9 @@ package regress_test
 import (
 	"context"
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"vup/internal/canbus"
@@ -13,17 +16,27 @@ import (
 	"vup/internal/regress"
 )
 
-// window is one training set handed to a regressor by the pipeline.
+// window is one training set handed to a regressor by the pipeline;
+// end is the position just past its targets in the series.
 type window struct {
-	x [][]float64
-	y []float64
+	x   [][]float64
+	y   []float64
+	end int
+}
+
+// windowLog collects the training sets of one evaluation. The
+// evaluation fits its windows on concurrent workers, so appends are
+// locked and arrive in completion order.
+type windowLog struct {
+	mu      sync.Mutex
+	windows []window
 }
 
 // recorder is a Last Value model that keeps a copy of every training
 // set it is fitted on.
 type recorder struct {
 	regress.LastValue
-	windows *[]window
+	log *windowLog
 }
 
 func (r *recorder) Fit(x [][]float64, y []float64) error {
@@ -31,14 +44,16 @@ func (r *recorder) Fit(x [][]float64, y []float64) error {
 	for i, row := range x {
 		w.x[i] = append([]float64(nil), row...)
 	}
-	*r.windows = append(*r.windows, w)
+	r.log.mu.Lock()
+	r.log.windows = append(r.log.windows, w)
+	r.log.mu.Unlock()
 	return r.LastValue.Fit(x, y)
 }
 
 // serverConfig is the pipeline shape vup-server evaluates with:
 // 120-day sliding windows, K=12 of 28 lags, two channels plus the
 // calendar context.
-func serverConfig(windows *[]window) core.Config {
+func serverConfig(wl *windowLog) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.W = 120
 	cfg.K = 12
@@ -46,13 +61,13 @@ func serverConfig(windows *[]window) core.Config {
 	cfg.Stride = 10
 	cfg.Channels = []string{canbus.ChanFuelRate, canbus.ChanEngineSpeed}
 	cfg.ModelFactory = func() (regress.Regressor, error) {
-		return &recorder{windows: windows}, nil
+		return &recorder{log: wl}, nil
 	}
 	return cfg
 }
 
 // planWindows returns the training windows of one vehicle's sliding
-// evaluation under the server's pipeline shape.
+// evaluation under the server's pipeline shape, in window order.
 func planWindows(tb testing.TB) []window {
 	tb.Helper()
 	rng := randx.New(21)
@@ -62,14 +77,40 @@ func planWindows(tb testing.TB) []window {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var windows []window
-	if _, err := core.EvaluateVehicleContext(context.Background(), d, serverConfig(&windows)); err != nil {
+	var wl windowLog
+	if _, err := core.EvaluateVehicleContext(context.Background(), d, serverConfig(&wl)); err != nil {
 		tb.Fatal(err)
 	}
+	windows := wl.windows
 	if len(windows) == 0 {
 		tb.Fatal("no training windows")
 	}
+	// A window's targets are the contiguous run of days ending at its
+	// TrainTo (next-day view = the series), so that end orders the
+	// windows as the evaluation enumerates them.
+	for i := range windows {
+		if windows[i].end = targetsEnd(d.Hours, windows[i].y); windows[i].end < 0 {
+			tb.Fatalf("window %d: targets are not a run of the series", i)
+		}
+	}
+	sort.Slice(windows, func(i, j int) bool { return windows[i].end < windows[j].end })
+	for i := 1; i < len(windows); i++ {
+		if windows[i].end == windows[i-1].end {
+			tb.Fatalf("windows %d and %d end at the same day %d", i-1, i, windows[i].end)
+		}
+	}
 	return windows
+}
+
+// targetsEnd returns the position just past the first occurrence of y
+// as a contiguous run of hours, or -1.
+func targetsEnd(hours, y []float64) int {
+	for s := 0; s+len(y) <= len(hours); s++ {
+		if slices.Equal(hours[s:s+len(y)], y) {
+			return s + len(y)
+		}
+	}
+	return -1
 }
 
 // TestFitMatchesReferenceOnPlanWindows fits LR and Lasso on every

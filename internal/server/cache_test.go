@@ -2,9 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -395,6 +397,65 @@ func TestEvaluationEndpointCached(t *testing.T) {
 	}
 	if body["cached"] != true {
 		t.Error("warm evaluation not marked cached")
+	}
+}
+
+// TestEvaluationLeaderCancelKeepsWaiter pins the shared-flight
+// semantics of a slow evaluation: the request that started the build
+// goes away mid-build, and the request coalesced onto it still gets
+// the finished 200 result. The evaluation fans its windows out over a
+// worker pool; the pool must not stop on the leader's cancellation.
+func TestEvaluationLeaderCancelKeepsWaiter(t *testing.T) {
+	api, _ := testAPI(t)
+	api.Cache = NewForecastCache(8)
+	building := make(chan struct{}, 1)
+	release := make(chan struct{})
+	api.Base.ModelFactory = func() (regress.Regressor, error) {
+		select {
+		case building <- struct{}{}:
+		default:
+		}
+		<-release
+		return regress.New(api.Base.Algorithm)
+	}
+	h := api.Handler()
+	const path = "/v1/vehicles/veh-0000/evaluation"
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx))
+		return rec
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		serve(leaderCtx)
+	}()
+	<-building
+	waiter := make(chan *httptest.ResponseRecorder, 1)
+	go func() { waiter <- serve(context.Background()) }()
+	for deadline := time.Now().Add(5 * time.Second); api.Cache.Stats().Coalesced == 0; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("second request never coalesced onto the build")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cancelLeader()
+	close(release)
+	<-leaderDone
+	rec := <-waiter
+	if rec.Code != http.StatusOK {
+		t.Fatalf("coalesced waiter status = %d after the leader canceled: %s", rec.Code, rec.Body)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := body["predictions"].(float64); body["cached"] != true || n == 0 {
+		t.Errorf("waiter body = %v, want the shared build's predictions", body)
 	}
 }
 
