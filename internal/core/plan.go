@@ -9,7 +9,6 @@ import (
 
 	"vup/internal/etl"
 	"vup/internal/featsel"
-	"vup/internal/geo"
 	"vup/internal/obs/trace"
 	"vup/internal/parallel"
 	"vup/internal/regress"
@@ -403,10 +402,6 @@ func (f *Fitted) Lags() []int { return f.lags }
 // appending real days to the series.
 func (f *Fitted) extension(h int) *featsel.Extension {
 	p := f.plan
-	hemisphere := geo.Northern
-	if c, err := geo.Lookup(p.d.Country); err == nil {
-		hemisphere = c.Hemisphere
-	}
 	ext := &featsel.Extension{
 		Hours: make([]float64, h),
 		Ctx:   make([]etl.Context, h),
@@ -428,20 +423,7 @@ func (f *Fitted) extension(h int) *featsel.Extension {
 	for i, ch := range p.cfg.TargetChannels {
 		ext.Tgts[i] = colFor(ch)
 	}
-	date := p.view.Date(p.view.Len() - 1)
-	for step := 0; step < h; step++ {
-		date = date.AddDate(0, 0, 1)
-		holiday, _ := geo.IsHoliday(p.d.Country, date)
-		ext.Ctx[step] = etl.Context{
-			DayOfWeek:  date.Weekday(),
-			WeekOfYear: geo.WeekOfYear(date),
-			Month:      date.Month(),
-			Season:     geo.SeasonOf(date, hemisphere),
-			Year:       date.Year(),
-			Holiday:    holiday,
-			WorkingDay: geo.IsWorkingDay(p.d.Country, date),
-		}
-	}
+	etl.ContextsFrom(p.d.Country, p.view.Date(p.view.Len()-1).AddDate(0, 0, 1), ext.Ctx)
 	return ext
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"vup/internal/canbus"
 	"vup/internal/fleet"
-	"vup/internal/geo"
 	"vup/internal/randx"
 	"vup/internal/relational"
 	"vup/internal/weather"
@@ -24,18 +23,6 @@ import (
 
 // ErrEmptyDataset is returned when an operation needs at least one day.
 var ErrEmptyDataset = errors.New("etl: empty dataset")
-
-// Context holds the contextual enrichment of one day (temporal
-// features are per-country: holidays and weekends differ).
-type Context struct {
-	DayOfWeek  time.Weekday
-	WeekOfYear int
-	Month      time.Month
-	Season     geo.Season
-	Year       int
-	Holiday    bool
-	WorkingDay bool
-}
 
 // VehicleDataset is the per-vehicle daily relation the models consume:
 // aligned arrays of utilization hours, CAN channel aggregates and
@@ -170,31 +157,6 @@ func (d *VehicleDataset) Fingerprint() uint64 {
 		writeU64(uint64(t.Unix()))
 	}
 	return h.Sum64()
-}
-
-// Enrich fills the Context array from the dataset's country and dates
-// (preparation step iv).
-func (d *VehicleDataset) Enrich() {
-	n := len(d.Hours)
-	d.Context = make([]Context, n)
-	country, err := geo.Lookup(d.Country)
-	hemisphere := geo.Northern
-	if err == nil {
-		hemisphere = country.Hemisphere
-	}
-	for i := 0; i < n; i++ {
-		date := d.Date(i)
-		holiday, _ := geo.IsHoliday(d.Country, date)
-		d.Context[i] = Context{
-			DayOfWeek:  date.Weekday(),
-			WeekOfYear: geo.WeekOfYear(date),
-			Month:      date.Month(),
-			Season:     geo.SeasonOf(date, hemisphere),
-			Year:       date.Year(),
-			Holiday:    holiday,
-			WorkingDay: geo.IsWorkingDay(d.Country, date),
-		}
-	}
 }
 
 // FromUsage builds a dataset from a generated usage series using the

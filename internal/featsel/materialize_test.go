@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vup/internal/etl"
-	"vup/internal/geo"
 	"vup/internal/randx"
 )
 
@@ -168,20 +167,8 @@ func TestMaterializedExtendedRow(t *testing.T) {
 
 	// Build the extension: two phantom days with predicted hours and a
 	// target-channel override on the second.
-	next1 := d.Date(n-1).AddDate(0, 0, 1)
-	next2 := next1.AddDate(0, 0, 1)
-	ctx := func(date time.Time) etl.Context {
-		holiday, _ := geo.IsHoliday(d.Country, date)
-		return etl.Context{
-			DayOfWeek:  date.Weekday(),
-			WeekOfYear: geo.WeekOfYear(date),
-			Month:      date.Month(),
-			Season:     geo.SeasonOf(date, geo.Northern),
-			Year:       date.Year(),
-			Holiday:    holiday,
-			WorkingDay: geo.IsWorkingDay(d.Country, date),
-		}
-	}
+	phantom := make([]etl.Context, 2)
+	etl.ContextsFrom(d.Country, d.Date(n-1).AddDate(0, 0, 1), phantom)
 	cols := map[string][]float64{
 		"alpha": make([]float64, 2),
 		"beta":  make([]float64, 2),
@@ -191,7 +178,7 @@ func TestMaterializedExtendedRow(t *testing.T) {
 		Hours: []float64{6.5, 0},
 		Chans: [][]float64{cols["alpha"], cols["beta"]},
 		Tgts:  [][]float64{cols["gamma"]},
-		Ctx:   []etl.Context{ctx(next1), ctx(next2)},
+		Ctx:   phantom,
 	}
 	cols["gamma"][1] = 42.0 // target override on step 1
 
@@ -200,7 +187,7 @@ func TestMaterializedExtendedRow(t *testing.T) {
 		VehicleID: d.VehicleID, Country: d.Country, Start: d.Start,
 		Hours:    append(append([]float64(nil), d.Hours...), 6.5, 0),
 		Channels: map[string][]float64{},
-		Context:  append(append([]etl.Context(nil), d.Context...), ctx(next1), ctx(next2)),
+		Context:  append(append([]etl.Context(nil), d.Context...), phantom...),
 		Observed: append(append([]bool(nil), d.Observed...), false, false),
 	}
 	for name, vals := range d.Channels {

@@ -192,8 +192,12 @@ func (m *UsageModel) SimulateWeather(start time.Time, days int, wx []weather.Day
 	out := make([]DayUsage, 0, days)
 	logDrift := 0.0
 	onSite := m.rng.Bernoulli(m.meanOnSite / (m.meanOnSite + m.meanBetween))
+	var cal *geo.Calendar
 	for i := 0; i < days; i++ {
 		date := start.AddDate(0, 0, i)
+		if cal == nil || cal.Year() != date.Year() {
+			cal = geo.NewCalendar(m.country.Code, date.Year())
+		}
 		// Non-stationary drift: bounded log-level random walk.
 		logDrift = clamp(logDrift+m.rng.Normal(0, m.driftSigma), -0.9, 0.9)
 		// Job-episode transitions (daily exit hazard).
@@ -216,7 +220,7 @@ func (m *UsageModel) SimulateWeather(start time.Time, days int, wx []weather.Day
 		if m.country.IsWeekend(date) {
 			prob *= m.weekendFactor
 		}
-		if holiday, _ := geo.IsHoliday(m.country.Code, date); holiday {
+		if cal.IsHoliday(date.YearDay()) {
 			prob *= holidayActivity
 		}
 		hours := 0.0

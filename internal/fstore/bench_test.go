@@ -71,17 +71,23 @@ func BenchmarkEncodeDataset(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeDataset decodes one snapshot: a vehicle-year, and a
+// study-length (1 369-day) series, the size a cold forecast faults in.
 func BenchmarkDecodeDataset(b *testing.B) {
-	enc, err := EncodeDataset(synthDataset(0, 365))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(enc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeDataset(enc); err != nil {
-			b.Fatal(err)
-		}
+	for _, days := range []int{365, 1369} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			enc, err := EncodeDataset(synthDataset(0, days))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(enc)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeDataset(enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

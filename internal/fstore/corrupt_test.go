@@ -5,11 +5,15 @@ package fstore
 // never as a silently wrong dataset.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"vup/internal/relational"
 )
@@ -124,6 +128,54 @@ func TestLoadFingerprintDrift(t *testing.T) {
 		t.Fatal("fingerprint not found in manifest")
 	}
 	if err := os.WriteFile(mpath, []byte(flipped), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustCorrupt(t, loadErr(t, path), ErrMismatch, vds)
+}
+
+// TestLoadShiftedContiguousDate: a snapshot flagged contiguous whose
+// date column disagrees with Start + i days must be refused. Its
+// checksum is valid, and its fingerprint still matches the manifest
+// (a contiguous dataset's fingerprint covers Start, not the date
+// column), so the contiguity check is the only thing that catches it.
+func TestLoadShiftedContiguousDate(t *testing.T) {
+	path, vds := savedDir(t)
+	file := filepath.Join(path, vds)
+	saved, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DecodeDataset(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Encode with explicit dates, optionally one shifted by a day, then
+	// clear the explicit-dates flag and reseal the checksum.
+	craft := func(shift bool) []byte {
+		c := d.Clone()
+		c.Dates = make([]time.Time, c.Len())
+		for i := range c.Dates {
+			c.Dates[i] = d.Date(i)
+		}
+		if shift {
+			c.Dates[17] = c.Dates[17].AddDate(0, 0, 1)
+		}
+		enc, err := EncodeDataset(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flagOff := 4 + 2 + (2 + len(c.VehicleID)) + (2 + len(c.ModelID)) + (2 + len(c.Country)) + 2 + 12
+		if enc[flagOff] != flagExplicitDates {
+			t.Fatalf("flag byte at %d is %#x, want %#x", flagOff, enc[flagOff], flagExplicitDates)
+		}
+		enc[flagOff] = 0
+		binary.LittleEndian.PutUint32(enc[len(enc)-4:], crc32.Checksum(enc[:len(enc)-4], castagnoli))
+		return enc
+	}
+	if !bytes.Equal(craft(false), saved) {
+		t.Fatal("unshifted craft does not reproduce the saved snapshot")
+	}
+	if err := os.WriteFile(file, craft(true), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	mustCorrupt(t, loadErr(t, path), ErrMismatch, vds)

@@ -232,12 +232,15 @@ func datasetFromTable(vehicleID, modelID, country string, vtype fleet.Type, star
 	} else {
 		// Contiguous dataset: the date column is redundant with Start.
 		// Verify instead of trusting, so an encoder bug cannot smuggle
-		// in silently shifted calendars.
+		// in silently shifted calendars. start is decoded in UTC, where
+		// a calendar day is always 24 hours.
+		want := start
 		for i, got := range dates {
-			if want := start.AddDate(0, 0, i); !got.Equal(want) {
+			if !got.Equal(want) {
 				return nil, fmt.Errorf("%w: contiguous snapshot has date %s at day %d, want %s",
 					ErrMismatch, got.Format(time.RFC3339), i, want.Format(time.RFC3339))
 			}
+			want = want.Add(24 * time.Hour)
 		}
 	}
 	d.Enrich()

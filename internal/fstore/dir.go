@@ -461,9 +461,11 @@ func decodeVehicleFile(dirPath string, e ManifestEntry) (*etl.VehicleDataset, er
 }
 
 // replayPending folds a vehicle's unapplied log records into its
-// freshly decoded snapshot and re-derives contexts. recs must be that
-// vehicle's pending slice (already filtered to seq > AppliedSeq).
+// freshly decoded snapshot and derives the contexts of the replayed
+// days; the decode already derived the snapshot's own. recs must be
+// that vehicle's pending slice (already filtered to seq > AppliedSeq).
 func (d *Dir) replayPending(ds *etl.VehicleDataset, recs []logRecord) (int, error) {
+	from := ds.Len()
 	replayed := 0
 	for _, rec := range recs {
 		if err := applyDays(ds, rec.days); err != nil {
@@ -472,7 +474,7 @@ func (d *Dir) replayPending(ds *etl.VehicleDataset, recs []logRecord) (int, erro
 		replayed++
 	}
 	if replayed > 0 {
-		ds.Enrich()
+		ds.EnrichFrom(from)
 		if err := ds.Validate(); err != nil {
 			return replayed, fmt.Errorf("fstore: replayed dataset %q: %w", ds.VehicleID, err)
 		}

@@ -344,6 +344,61 @@ func TestApplyDaysNonContiguousMaterializesDates(t *testing.T) {
 	}
 }
 
+// freshContexts re-derives every day's Context of a copy of d from
+// scratch.
+func freshContexts(d *etl.VehicleDataset) []etl.Context {
+	c := d.Clone()
+	c.Enrich()
+	return c.Context
+}
+
+// TestIncrementalContextsMatchFullEnrich: ApplyDays and the replay of
+// pending log records derive only the appended days' contexts; the
+// result must equal a full Enrich, across a year boundary and after an
+// out-of-step day has turned the series' dates explicit.
+func TestIncrementalContextsMatchFullEnrich(t *testing.T) {
+	d := genDatasets(t, 1, 360, 37)[0] // 2015-01-01 … 2015-12-26
+	dir, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dir.Save([]*etl.VehicleDataset{d}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		day := nextDay(d, float64(i%5))
+		if i == 10 {
+			day.Date = day.Date.AddDate(0, 0, 40) // out of step
+		}
+		if err := dir.Append(d.VehicleID, day); err != nil {
+			t.Fatal(err)
+		}
+		if err := ApplyDays(d, day); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(d.Context, freshContexts(d)) {
+			t.Fatalf("append %d (%s): incremental contexts differ from a full Enrich", i, day.Date.Format("2006-01-02"))
+		}
+	}
+	if d.Dates == nil {
+		t.Fatal("out-of-step append did not materialize explicit dates")
+	}
+	cold, err := Open(dir.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cold.LoadVehicle(d.VehicleID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Context, freshContexts(got)) {
+		t.Error("replayed contexts differ from a full Enrich")
+	}
+	if !reflect.DeepEqual(got, d) {
+		t.Error("snapshot + replay does not reproduce the live dataset")
+	}
+}
+
 func TestSnapshotFileNameSafety(t *testing.T) {
 	cases := map[string]string{
 		"veh-0001":   "veh-0001.vds",

@@ -206,9 +206,9 @@ func shiftOffset(err error, base int) error {
 }
 
 // applyDays appends incremental days to a dataset in place without
-// rebuilding Context (Load enriches once after the whole replay; use
-// ApplyDays for a self-contained append). The day's channel set must
-// match the dataset's exactly.
+// deriving their Context (a replay enriches the appended days once
+// after its last record; use ApplyDays for a self-contained append).
+// The day's channel set must match the dataset's exactly.
 func applyDays(d *etl.VehicleDataset, days []Day) error {
 	for _, day := range days {
 		if len(day.Channels) != len(d.Channels) {
@@ -243,13 +243,15 @@ func applyDays(d *etl.VehicleDataset, days []Day) error {
 	return nil
 }
 
-// ApplyDays appends incremental days to a dataset, re-derives its
-// Context and validates alignment — the in-memory half of an Append
-// call, for callers that keep serving the dataset they are logging.
+// ApplyDays appends incremental days to a dataset, derives the Context
+// of the appended days only and validates alignment — the in-memory
+// half of an Append call, for callers that keep serving the dataset
+// they are logging.
 func ApplyDays(d *etl.VehicleDataset, days ...Day) error {
+	from := d.Len()
 	if err := applyDays(d, days); err != nil {
 		return err
 	}
-	d.Enrich()
+	d.EnrichFrom(from)
 	return d.Validate()
 }

@@ -1,10 +1,18 @@
 // Package geo provides the contextual-information substrate of the
 // study: a registry of countries with hemisphere, region and weekend
-// convention, per-country holiday calendars (fixed-date and
+// convention, per-country holiday rules (fixed-date and
 // Easter-derived), and meteorological seasons. The paper enriches CAN
 // bus data with exactly this information (Section 2, "Contextual
 // information"), and observes e.g. that northern-hemisphere vehicles
 // idle most in December/January.
+//
+// The rules are answered per year: NewCalendar builds one country's
+// Calendar for one year in O(rules), with the holidays as a bitset over
+// the days of the year next to the weekend convention and hemisphere.
+// Weekday, ISO week, holiday and working-day questions about a day are
+// then integer arithmetic on its day of the year, so a caller walking a
+// day series builds one calendar per year it spans rather than
+// evaluating the rules once per day.
 package geo
 
 import (

@@ -130,48 +130,44 @@ func TestIsHoliday(t *testing.T) {
 		{"XX", date(2017, time.December, 25), true},
 	}
 	for _, c := range cases {
-		got, _ := IsHoliday(c.code, c.d)
-		if got != c.want {
-			t.Errorf("IsHoliday(%s, %v) = %v, want %v", c.code, c.d.Format("2006-01-02"), got, c.want)
+		ref, _ := refIsHoliday(c.code, c.d)
+		got := NewCalendar(c.code, c.d.Year()).IsHoliday(c.d.YearDay())
+		if got != c.want || ref != c.want {
+			t.Errorf("holiday(%s, %v): calendar %v, reference %v, want %v", c.code, c.d.Format("2006-01-02"), got, ref, c.want)
 		}
 	}
 }
 
 func TestHolidayNames(t *testing.T) {
-	ok, name := IsHoliday("IT", date(2017, time.December, 25))
+	ok, name := refIsHoliday("IT", date(2017, time.December, 25))
 	if !ok || name != "Christmas Day" {
 		t.Errorf("got %v %q", ok, name)
 	}
-	ok, name = IsHoliday("US", date(2018, time.July, 4))
+	ok, name = refIsHoliday("US", date(2018, time.July, 4))
 	if !ok || name != "Independence Day" {
 		t.Errorf("got %v %q", ok, name)
 	}
 }
 
 func TestIsWorkingDay(t *testing.T) {
-	// 2017-06-07 is a Wednesday, no holiday in Italy.
-	if !IsWorkingDay("IT", date(2017, time.June, 7)) {
-		t.Error("plain Wednesday should be a working day")
+	cases := []struct {
+		code string
+		d    time.Time
+		want bool
+		why  string
+	}{
+		{"IT", date(2017, time.June, 7), true, "plain Wednesday"},
+		{"IT", date(2017, time.June, 10), false, "Saturday"},
+		{"IT", date(2017, time.December, 25), false, "Christmas on a Monday"},
+		{"SA", date(2017, time.June, 9), false, "Saudi Friday"},
+		{"SA", date(2017, time.June, 11), true, "Saudi Sunday"},
+		{"XX", date(2017, time.June, 10), false, "unknown-country Saturday (Sat/Sun default)"},
 	}
-	// Saturday.
-	if IsWorkingDay("IT", date(2017, time.June, 10)) {
-		t.Error("Saturday should not be a working day")
-	}
-	// Christmas on a Monday (2017).
-	if IsWorkingDay("IT", date(2017, time.December, 25)) {
-		t.Error("Christmas should not be a working day")
-	}
-	// Saudi Friday.
-	if IsWorkingDay("SA", date(2017, time.June, 9)) {
-		t.Error("Saudi Friday should not be a working day")
-	}
-	// Saudi Sunday is a working day.
-	if !IsWorkingDay("SA", date(2017, time.June, 11)) {
-		t.Error("Saudi Sunday should be a working day")
-	}
-	// Unknown code defaults to Sat/Sun weekend.
-	if IsWorkingDay("XX", date(2017, time.June, 10)) {
-		t.Error("unknown-country Saturday should not be a working day")
+	for _, c := range cases {
+		got := NewCalendar(c.code, c.d.Year()).IsWorkingDay(c.d.YearDay())
+		if ref := refIsWorkingDay(c.code, c.d); got != c.want || ref != c.want {
+			t.Errorf("%s: calendar %v, reference %v, want %v", c.why, got, ref, c.want)
+		}
 	}
 }
 
@@ -229,10 +225,20 @@ func TestSeasonsCoverYearProperty(t *testing.T) {
 }
 
 func TestWeekOfYear(t *testing.T) {
-	if w := WeekOfYear(date(2017, time.January, 5)); w != 1 {
-		t.Errorf("week = %d, want 1", w)
+	cases := []struct {
+		d    time.Time
+		want int
+	}{
+		{date(2017, time.January, 5), 1},
+		{date(2017, time.December, 28), 52},
+		{date(2016, time.January, 1), 53},  // Friday: last week of 2015, a 53-week year
+		{date(2018, time.December, 31), 1}, // Monday: week 1 of 2019
+		{date(2020, time.December, 31), 53},
 	}
-	if w := WeekOfYear(date(2017, time.December, 28)); w != 52 {
-		t.Errorf("week = %d, want 52", w)
+	for _, c := range cases {
+		got := NewCalendar("IT", c.d.Year()).ISOWeek(c.d.YearDay())
+		if ref := refWeekOfYear(c.d); got != c.want || ref != c.want {
+			t.Errorf("week of %v: calendar %d, reference %d, want %d", c.d.Format("2006-01-02"), got, ref, c.want)
+		}
 	}
 }

@@ -84,55 +84,3 @@ var nonChristianCalendar = map[string]bool{
 	"IN": true, "CN": true, "JP": true, "TH": true, "VN": true,
 	"ID": true, "MY": true, "TR": true, "MA": true,
 }
-
-// IsHoliday reports whether date is a public holiday in the country
-// with the given code, along with the holiday's name. Unknown country
-// codes observe only the common rules.
-func IsHoliday(code string, date time.Time) (bool, string) {
-	y, m, d := date.Date()
-	check := func(rules []holidayRule) (bool, string) {
-		for _, r := range rules {
-			if r.month != 0 {
-				if r.month == m && r.day == d {
-					return true, r.name
-				}
-				continue
-			}
-			e := Easter(y).AddDate(0, 0, r.easterOffset)
-			em, ed := e.Month(), e.Day()
-			if em == m && ed == d {
-				return true, r.name
-			}
-		}
-		return false, ""
-	}
-	if ok, name := check(commonRules); ok {
-		return true, name
-	}
-	if !nonChristianCalendar[code] {
-		if ok, name := check(christianRules); ok {
-			return true, name
-		}
-	}
-	if rules, ok := extraRules[code]; ok {
-		if ok, name := check(rules); ok {
-			return true, name
-		}
-	}
-	return false, ""
-}
-
-// IsWorkingDay reports whether date is a working day in the given
-// country: neither a weekend day nor a public holiday. Unknown country
-// codes default to a Saturday/Sunday weekend.
-func IsWorkingDay(code string, date time.Time) bool {
-	c, err := Lookup(code)
-	if err != nil {
-		c = Country{Weekend: satSun}
-	}
-	if c.IsWeekend(date) {
-		return false
-	}
-	holiday, _ := IsHoliday(code, date)
-	return !holiday
-}

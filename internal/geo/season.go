@@ -31,9 +31,11 @@ func (s Season) String() string {
 
 // SeasonOf returns the meteorological season of date in the given
 // hemisphere (Dec-Feb = northern winter, and so on).
-func SeasonOf(date time.Time, h Hemisphere) Season {
+func SeasonOf(date time.Time, h Hemisphere) Season { return seasonOf(date.Month(), h) }
+
+func seasonOf(m time.Month, h Hemisphere) Season {
 	var s Season
-	switch date.Month() {
+	switch m {
 	case time.December, time.January, time.February:
 		s = Winter
 	case time.March, time.April, time.May:
@@ -47,10 +49,4 @@ func SeasonOf(date time.Time, h Hemisphere) Season {
 		s = (s + 2) % 4
 	}
 	return s
-}
-
-// WeekOfYear returns the ISO 8601 week number of date.
-func WeekOfYear(date time.Time) int {
-	_, week := date.ISOWeek()
-	return week
 }
