@@ -11,13 +11,15 @@
 // restores train-per-request.
 //
 // With -data-dir, the fleet persists across restarts in the on-disk
-// store (internal/fstore): a cold boot loads the saved snapshots
-// instead of regenerating, every Put snapshots the changed vehicle,
-// and graceful shutdown writes a full compacting snapshot. Dataset
-// fingerprints survive the round-trip bit-for-bit, so forecast-cache
-// keys computed before a restart stay valid after it (warm start). A
-// corrupt store is a startup error naming the file and byte offset —
-// delete or restore the directory to recover.
+// store (internal/fstore). A fleet is generated only into a directory
+// that has no manifest yet, and saved there; every boot then serves
+// what the directory holds, an empty saved fleet included. Every Put
+// snapshots the changed vehicle, and graceful shutdown writes a full
+// compacting snapshot. Dataset fingerprints survive the round-trip
+// bit-for-bit, so forecast-cache keys computed before a restart stay
+// valid after it (warm start). A corrupt store is a startup error
+// naming the file and byte offset — delete or restore the directory to
+// recover.
 //
 // With -lazy-load the boot reads only the manifest: vehicle snapshots
 // decode on first request (single-flighted per vehicle), and under
@@ -67,7 +69,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"net/http"
@@ -122,51 +123,28 @@ func main() {
 		logg.Error("-resident-budget requires -lazy-load")
 		os.Exit(1)
 	}
-	var dir *fstore.Dir
-	var datasets []*etl.VehicleDataset
-	var lazyIDs []string
+	var (
+		dir      *fstore.Dir
+		datasets []*etl.VehicleDataset
+		store    *server.Store
+		err      error
+	)
 	if *dataDir != "" {
-		var err error
 		dir, err = fstore.Open(*dataDir)
 		if err != nil {
 			logg.Error("fleet store open failed", "dir", *dataDir, "error", err)
 			os.Exit(1)
 		}
-		start := time.Now()
-		if *lazyLoad {
-			// Manifest-only boot: the roster comes from Open's manifest
-			// read; no VUPD snapshot is decoded until a request asks
-			// for its vehicle.
-			lazyIDs = dir.VehicleIDs()
-			if len(lazyIDs) > 0 {
-				logg.Info("fleet store indexed for lazy load", "dir", *dataDir, "vehicles", len(lazyIDs), "took", time.Since(start).Round(time.Millisecond))
-			} else {
-				logg.Info("fleet store empty, generating", "dir", *dataDir)
-			}
-		} else {
-			loaded, man, err := dir.Load()
-			switch {
-			case err == nil:
-				datasets = loaded
-				logg.Info("fleet loaded from store", "dir", *dataDir, "vehicles", len(man.Vehicles), "took", time.Since(start).Round(time.Millisecond))
-			case errors.Is(err, fstore.ErrNoManifest):
-				logg.Info("fleet store empty, generating", "dir", *dataDir)
-			default:
-				// A corrupt store must stop the boot, not silently fall back
-				// to a regenerated fleet with different fingerprints.
-				logg.Error("fleet store load failed", "dir", *dataDir, "error", err)
-				os.Exit(1)
-			}
-		}
 	}
-	if datasets == nil && len(lazyIDs) == 0 {
+	// Generate a fleet only without a directory or into one never
+	// saved to. A saved fleet, even an empty one, is what gets served.
+	if dir == nil || dir.Manifest() == nil {
 		fc := vup.SmallFleet()
 		fc.Units = *units
 		fc.Days = *days
 		fc.Seed = *seed
 		logg.Info("generating fleet", "units", *units, "days", *days, "seed", *seed)
 		start := time.Now()
-		var err error
 		datasets, err = vup.GenerateDatasets(fc, *seed+1)
 		if err != nil {
 			logg.Error("generation failed", "error", err)
@@ -179,12 +157,6 @@ func main() {
 				os.Exit(1)
 			}
 			logg.Info("fleet saved to store", "dir", *dataDir, "vehicles", len(datasets))
-			if *lazyLoad {
-				// Hand the generated fleet back to the lazy path so the
-				// serving store is the same either way.
-				lazyIDs = dir.VehicleIDs()
-				datasets = nil
-			}
 		}
 	}
 
@@ -196,20 +168,27 @@ func main() {
 	base.Stride = 5
 	base.Channels = []string{canbus.ChanFuelRate, canbus.ChanEngineSpeed}
 
-	var store *server.Store
-	var err error
-	if len(lazyIDs) > 0 {
-		store, err = server.NewLazyStore(lazyIDs, dir.LoadVehicle, *residentBudget)
-		if err == nil {
-			logg.Info("lazy store ready", "vehicles", len(lazyIDs), "resident_budget", *residentBudget)
+	start := time.Now()
+	switch {
+	case *lazyLoad:
+		// Manifest-only boot: the roster comes from Open's manifest
+		// read; no snapshot is decoded until a request asks for its
+		// vehicle.
+		store, err = server.NewLazyStore(dir.VehicleIDs(), dir.LoadVehicle, *residentBudget)
+	case dir != nil:
+		// A corrupt store stops the boot rather than falling back to a
+		// regenerated fleet with different fingerprints.
+		if datasets, _, err = dir.Load(); err == nil {
+			store, err = server.NewStore(datasets)
 		}
-	} else {
+	default:
 		store, err = server.NewStore(datasets)
 	}
 	if err != nil {
-		logg.Error("store rejected datasets", "error", err)
+		logg.Error("store boot failed", "dir", *dataDir, "error", err)
 		os.Exit(1)
 	}
+	logg.Info("store ready", "vehicles", store.Len(), "lazy", store.Lazy(), "resident_budget", *residentBudget, "took", time.Since(start).Round(time.Millisecond))
 	if dir != nil {
 		// Every Put snapshots the changed vehicle before it becomes
 		// visible; a full compacting snapshot runs at shutdown. Ingested

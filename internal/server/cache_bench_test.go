@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,13 +10,14 @@ import (
 	"vup/internal/core"
 	"vup/internal/etl"
 	"vup/internal/fleet"
+	"vup/internal/fstore"
 	"vup/internal/randx"
 	"vup/internal/regress"
 )
 
-// benchAPI builds an API over a small default-shaped fleet without a
-// testing.T (bench variant of testAPI).
-func benchAPI(b *testing.B) *API {
+// benchDatasets generates a small default-shaped fleet without a
+// testing.T.
+func benchDatasets(b *testing.B) []*etl.VehicleDataset {
 	b.Helper()
 	f, err := fleet.Generate(fleet.Config{Units: 3, Days: 400, Seed: 1, Start: fleet.StudyStart})
 	if err != nil {
@@ -31,6 +33,13 @@ func benchAPI(b *testing.B) *API {
 		}
 		datasets = append(datasets, d)
 	}
+	return datasets
+}
+
+// benchAPI builds an API over benchDatasets (bench variant of
+// testAPI).
+func benchAPI(b *testing.B) *API {
+	b.Helper()
 	base := core.DefaultConfig()
 	base.Algorithm = regress.AlgLasso
 	base.W = 120
@@ -38,11 +47,59 @@ func benchAPI(b *testing.B) *API {
 	base.MaxLag = 28
 	base.Stride = 5
 	base.Channels = []string{canbus.ChanFuelRate, canbus.ChanEngineSpeed}
-	store, err := NewStore(datasets)
+	store, err := NewStore(benchDatasets(b))
 	if err != nil {
 		b.Fatal(err)
 	}
 	return New(store, base)
+}
+
+// BenchmarkAcquire measures the store's per-request hot path, Acquire
+// plus release of a resident vehicle, from parallel goroutines: on an
+// eager store, and on a lazy store with no budget whose vehicles have
+// all been faulted in. Both take the same pinning path.
+func BenchmarkAcquire(b *testing.B) {
+	datasets := benchDatasets(b)
+	eager, err := NewStore(datasets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir, err := fstore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dir.Save(datasets); err != nil {
+		b.Fatal(err)
+	}
+	lazy, err := NewLazyStore(dir.VehicleIDs(), dir.LoadVehicle, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range datasets {
+		if _, ok := lazy.Get(d.VehicleID); !ok {
+			b.Fatalf("warming %s failed", d.VehicleID)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		store *Store
+	}{{"eager", eager}, {"lazy-warm", lazy}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ids := tc.store.IDs()
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				ctx := context.Background()
+				for i := 0; pb.Next(); i++ {
+					_, _, _, release, err := tc.store.Acquire(ctx, ids[i%len(ids)])
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					release()
+				}
+			})
+		})
+	}
 }
 
 // BenchmarkForecastColdVsWarm measures the tentpole win: a cold

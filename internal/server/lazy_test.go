@@ -9,6 +9,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"os"
@@ -207,22 +208,52 @@ func TestLazyStorePinBlocksEviction(t *testing.T) {
 
 // TestLazyEagerByteIdentical is the serving-equivalence acceptance
 // criterion: the lazy store under a tight budget answers every
-// endpoint byte-identically (timing aside) to the eager store.
+// endpoint byte-identically (timing aside) to the eager store, and
+// the same ingest batch, each side logging to its own append log,
+// leaves both serving the same forecast.
 func TestLazyEagerByteIdentical(t *testing.T) {
 	datasets := persistDatasets(t)
 	base := persistConfig()
 
+	eagerDir, err := fstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eagerDir.Save(datasets); err != nil {
+		t.Fatal(err)
+	}
 	eagerStore, err := NewStore(datasets)
 	if err != nil {
 		t.Fatal(err)
 	}
+	eagerStore.SetAppender(eagerDir.Append)
 	eagerSrv := httptest.NewServer(New(eagerStore, base).Handler())
 	defer eagerSrv.Close()
 
 	budget := datasets[0].SizeBytes() + 1 // evicts on every vehicle switch
-	_, lazyStore, _ := lazyFixture(t, datasets, budget)
+	lazyDir, lazyStore, _ := lazyFixture(t, datasets, budget)
+	lazyStore.SetAppender(lazyDir.Append)
 	lazySrv := httptest.NewServer(New(lazyStore, base).Handler())
 	defer lazySrv.Close()
+
+	// compare GETs path from both servers and requires equal bodies,
+	// minus timing and cache state, which are serving state, not data.
+	compare := func(label, path string) {
+		t.Helper()
+		var eager, lazy any
+		get(t, eagerSrv.URL+path, 200, &eager)
+		get(t, lazySrv.URL+path, 200, &lazy)
+		for _, body := range []any{eager, lazy} {
+			if m, ok := body.(map[string]any); ok {
+				delete(m, "took_ms")
+				delete(m, "cached")
+			}
+		}
+		if !reflect.DeepEqual(eager, lazy) {
+			t.Errorf("%s: GET %s differs between eager and lazy stores:\n  eager: %v\n  lazy:  %v",
+				label, path, eager, lazy)
+		}
+	}
 
 	var paths []string
 	for _, d := range datasets {
@@ -230,6 +261,7 @@ func TestLazyEagerByteIdentical(t *testing.T) {
 			"/v1/vehicles/"+d.VehicleID,
 			"/v1/vehicles/"+d.VehicleID+"/forecast",
 			"/v1/vehicles/"+d.VehicleID+"/forecast?alg=SVR&scenario=next-working-day",
+			"/v1/vehicles/"+d.VehicleID+"/evaluation",
 			"/v1/vehicles/"+d.VehicleID+"/levels",
 		)
 	}
@@ -238,30 +270,32 @@ func TestLazyEagerByteIdentical(t *testing.T) {
 	// (refault) states for every path.
 	for pass := 0; pass < 2; pass++ {
 		for _, path := range paths {
-			var eager, lazy any
-			if path == "/v1/vehicles" {
-				var e, l []map[string]any
-				get(t, eagerSrv.URL+path, 200, &e)
-				get(t, lazySrv.URL+path, 200, &l)
-				eager, lazy = e, l
-			} else {
-				var e, l map[string]any
-				get(t, eagerSrv.URL+path, 200, &e)
-				get(t, lazySrv.URL+path, 200, &l)
-				delete(e, "took_ms")
-				delete(l, "took_ms")
-				// The lazy side's forecasts hit its own cache on pass 2;
-				// the flag is serving-state, not data.
-				delete(e, "cached")
-				delete(l, "cached")
-				eager, lazy = e, l
-			}
-			if !reflect.DeepEqual(eager, lazy) {
-				t.Errorf("pass %d: GET %s differs between eager and lazy stores:\n  eager: %v\n  lazy:  %v",
-					pass, path, eager, lazy)
-			}
+			compare(fmt.Sprintf("pass %d", pass), path)
 		}
 	}
+
+	// Ingest into the vehicle the lazy side has just evicted, so its
+	// append faults it back in first.
+	d := datasets[0]
+	last := d.Date(d.Len() - 1)
+	req := ingestRequest{Reports: append(
+		dayReports(d, last.AddDate(0, 0, 1), 12.5),
+		dayReports(d, last.AddDate(0, 0, 3), 14.0)...)}
+	var eagerIng, lazyIng map[string]any
+	postJSON(t, eagerSrv.URL+"/v1/vehicles/"+d.VehicleID+"/ingest", req, 200, &eagerIng)
+	postJSON(t, lazySrv.URL+"/v1/vehicles/"+d.VehicleID+"/ingest", req, 200, &lazyIng)
+	if got := eagerIng["days_appended"]; got != 3.0 {
+		t.Fatalf("eager ingest appended %v days, want 3", got)
+	}
+	delete(eagerIng, "took_ms")
+	delete(lazyIng, "took_ms")
+	if !reflect.DeepEqual(eagerIng, lazyIng) {
+		t.Errorf("ingest responses differ between eager and lazy stores:\n  eager: %v\n  lazy:  %v", eagerIng, lazyIng)
+	}
+	// Switch vehicles so the grown one is evicted and must reload
+	// through its append log before the forecast.
+	compare("after ingest", "/v1/vehicles/"+datasets[1].VehicleID)
+	compare("after ingest", "/v1/vehicles/"+d.VehicleID+"/forecast")
 }
 
 // TestEvictionRacingForecastAndAppend churns a tiny-budget lazy store
@@ -499,36 +533,56 @@ func TestHealthzResident(t *testing.T) {
 // days), and re-snapshotting clears it.
 func TestDirtyResidents(t *testing.T) {
 	datasets := persistDatasets(t)
-	dir, store, _ := lazyFixture(t, datasets, 0)
-	store.SetAppender(dir.Append)
+	for _, tc := range contractStores(t, datasets) {
+		t.Run(tc.name, func(t *testing.T) {
+			store, dir := tc.store, tc.dir
+			store.SetAppender(dir.Append)
 
-	if got := len(store.DirtyResidents()); got != 0 {
-		t.Fatalf("fresh store has %d dirty residents", got)
-	}
-	id := datasets[0].VehicleID
-	cur, _ := store.Get(id)
-	day := fstore.Day{
-		Date:     cur.Date(cur.Len()-1).AddDate(0, 0, 1),
-		Hours:    2,
-		Observed: true,
-		Channels: singleDayChannels(cur),
-	}
-	grown, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := store.DirtyResidents()
-	if len(dirty) != 1 || dirty[0].VehicleID != id {
-		t.Fatalf("dirty residents = %v, want exactly %q", dirtyIDs(dirty), id)
-	}
-	// Put re-snapshots through the persister, which makes the vehicle
-	// clean again.
-	store.SetPersister(dir.SaveVehicle)
-	if err := store.Put(grown.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(store.DirtyResidents()); got != 0 {
-		t.Fatalf("%d dirty residents after Put re-snapshotted, want 0", got)
+			if got := len(store.DirtyResidents()); got != 0 {
+				t.Fatalf("fresh store has %d dirty residents", got)
+			}
+			id := datasets[0].VehicleID
+			appendDay := func() *etl.VehicleDataset {
+				t.Helper()
+				cur, _ := store.Get(id)
+				day := fstore.Day{
+					Date:     cur.Date(cur.Len()-1).AddDate(0, 0, 1),
+					Hours:    2,
+					Observed: true,
+					Channels: singleDayChannels(cur),
+				}
+				grown, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dirty := store.DirtyResidents(); len(dirty) != 1 || dirty[0].VehicleID != id {
+					t.Fatalf("dirty residents = %v, want exactly %q", dirtyIDs(dirty), id)
+				}
+				return grown
+			}
+			grown := appendDay()
+			// Put re-snapshots through the persister, which makes the
+			// vehicle clean again.
+			store.SetPersister(dir.SaveVehicle)
+			if err := store.Put(grown.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(store.DirtyResidents()); got != 0 {
+				t.Fatalf("%d dirty residents after Put re-snapshotted, want 0", got)
+			}
+			if tc.budget <= 0 {
+				return
+			}
+			// Under a one-vehicle budget, faulting another vehicle in
+			// evicts the dirty one and drops its mark.
+			appendDay()
+			if _, ok := store.Get(datasets[1].VehicleID); !ok {
+				t.Fatal("Get of the second vehicle failed")
+			}
+			if dirty := store.DirtyResidents(); len(dirty) != 0 {
+				t.Fatalf("dirty residents after eviction = %v, want none", dirtyIDs(dirty))
+			}
+		})
 	}
 }
 

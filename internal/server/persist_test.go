@@ -52,6 +52,46 @@ func persistConfig() core.Config {
 	return base
 }
 
+// contractStore is one construction of the Store, each backed by its
+// own directory holding the saved fleet.
+type contractStore struct {
+	name   string
+	dir    *fstore.Dir
+	store  *Store
+	budget int64
+}
+
+// contractStores builds every construction the Store contract must
+// hold for: the eager store, a lazy store with no budget, and a lazy
+// store whose budget holds one vehicle (plus a few appended days) but
+// never two, so it evicts on every vehicle switch.
+func contractStores(t *testing.T, datasets []*etl.VehicleDataset) []contractStore {
+	t.Helper()
+	dir, err := fstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dir.Save(datasets); err != nil {
+		t.Fatal(err)
+	}
+	eager, err := NewStore(datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest, smallest := datasets[0].SizeBytes(), datasets[0].SizeBytes()
+	for _, d := range datasets {
+		largest, smallest = max(largest, d.SizeBytes()), min(smallest, d.SizeBytes())
+	}
+	budget := largest + smallest/2
+	lazyDir, lazy, _ := lazyFixture(t, datasets, 0)
+	budgetDir, budgeted, _ := lazyFixture(t, datasets, budget)
+	return []contractStore{
+		{"eager", dir, eager, 0},
+		{"lazy", lazyDir, lazy, 0},
+		{"lazy one-vehicle budget", budgetDir, budgeted, budget},
+	}
+}
+
 // TestForecastIdenticalAfterDiskRoundTrip is the issue's acceptance
 // criterion: a server booted from -data-dir serves /forecast responses
 // identical to the in-memory path (timing field aside).
@@ -234,27 +274,28 @@ func TestStorePutPersists(t *testing.T) {
 // in-memory store untouched, so memory never runs ahead of disk.
 func TestStorePutRejectedByPersister(t *testing.T) {
 	datasets := persistDatasets(t)
-	store, err := NewStore(datasets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk full")
-	store.SetPersister(func(*etl.VehicleDataset) error { return boom })
+	for _, tc := range contractStores(t, datasets) {
+		t.Run(tc.name, func(t *testing.T) {
+			store := tc.store
+			boom := errors.New("disk full")
+			store.SetPersister(func(*etl.VehicleDataset) error { return boom })
 
-	replacement, err := datasets[0].Subset(fullIndex(datasets[0])[:datasets[0].Len()-10])
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := store.Generation(replacement.VehicleID)
-	if err := store.Put(replacement); !errors.Is(err, boom) {
-		t.Fatalf("Put error = %v, want %v", err, boom)
-	}
-	d, ok := store.Get(replacement.VehicleID)
-	if !ok || d.Len() != datasets[0].Len() {
-		t.Error("rejected Put mutated the store")
-	}
-	if store.Generation(replacement.VehicleID) != gen {
-		t.Error("rejected Put bumped the generation")
+			replacement, err := datasets[0].Subset(fullIndex(datasets[0])[:datasets[0].Len()-10])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := store.Generation(replacement.VehicleID)
+			if err := store.Put(replacement); !errors.Is(err, boom) {
+				t.Fatalf("Put error = %v, want %v", err, boom)
+			}
+			d, ok := store.Get(replacement.VehicleID)
+			if !ok || d.Len() != datasets[0].Len() {
+				t.Error("rejected Put mutated the store")
+			}
+			if store.Generation(replacement.VehicleID) != gen {
+				t.Error("rejected Put bumped the generation")
+			}
+		})
 	}
 }
 
@@ -334,71 +375,65 @@ func TestStorePutPersistDoesNotBlockReaders(t *testing.T) {
 // the live store served.
 func TestStoreAppendLogsAndReplays(t *testing.T) {
 	datasets := persistDatasets(t)
-	store, err := NewStore(datasets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := fstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dir.Save(datasets); err != nil {
-		t.Fatal(err)
-	}
-	store.SetAppender(dir.Append)
+	for _, tc := range contractStores(t, datasets) {
+		t.Run(tc.name, func(t *testing.T) {
+			store, dir := tc.store, tc.dir
+			store.SetAppender(dir.Append)
 
-	id := datasets[0].VehicleID
-	gen0 := store.Generation(id)
-	last := datasets[0].Date(datasets[0].Len() - 1)
-	days := []fstore.Day{
-		{Date: last.AddDate(0, 0, 1), Hours: 4.5, Observed: true, Channels: singleDayChannels(datasets[0])},
-		// A missing day: Clean must repair it, and the *repaired* values
-		// must be what reaches the log.
-		{Date: last.AddDate(0, 0, 2), Hours: 0, Observed: false, Channels: singleDayChannels(datasets[0])},
-		{Date: last.AddDate(0, 0, 3), Hours: 6.25, Observed: true, Channels: singleDayChannels(datasets[0])},
-	}
-	grown, gen, err := store.AppendContext(context.Background(), id, days, etl.MissingForwardFill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gen != gen0+1 {
-		t.Errorf("generation %d after append, want %d", gen, gen0+1)
-	}
-	if grown.Len() != datasets[0].Len()+3 {
-		t.Fatalf("appended dataset has %d days, want %d", grown.Len(), datasets[0].Len()+3)
-	}
-	if got, _ := store.Get(id); got.Fingerprint() != grown.Fingerprint() {
-		t.Error("store serves a different dataset than Append returned")
-	}
+			id := datasets[0].VehicleID
+			gen0 := store.Generation(id)
+			last := datasets[0].Date(datasets[0].Len() - 1)
+			days := []fstore.Day{
+				{Date: last.AddDate(0, 0, 1), Hours: 4.5, Observed: true, Channels: singleDayChannels(datasets[0])},
+				// A missing day: Clean must repair it, and the *repaired*
+				// values must be what reaches the log.
+				{Date: last.AddDate(0, 0, 2), Hours: 0, Observed: false, Channels: singleDayChannels(datasets[0])},
+				{Date: last.AddDate(0, 0, 3), Hours: 6.25, Observed: true, Channels: singleDayChannels(datasets[0])},
+			}
+			grown, gen, err := store.AppendContext(context.Background(), id, days, etl.MissingForwardFill)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gen != gen0+1 {
+				t.Errorf("generation %d after append, want %d", gen, gen0+1)
+			}
+			if grown.Len() != datasets[0].Len()+3 {
+				t.Fatalf("appended dataset has %d days, want %d", grown.Len(), datasets[0].Len()+3)
+			}
+			if got, _ := store.Get(id); got.Fingerprint() != grown.Fingerprint() {
+				t.Error("store serves a different dataset than Append returned")
+			}
 
-	// "Restart": replay snapshot + log and compare fingerprints.
-	if err := dir.Close(); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := fstore.Open(dir.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := reopened.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var found bool
-	for _, d := range loaded {
-		if d.VehicleID != id {
-			continue
-		}
-		found = true
-		if d.Len() != grown.Len() {
-			t.Errorf("replayed %d days, want %d", d.Len(), grown.Len())
-		}
-		if d.Fingerprint() != grown.Fingerprint() {
-			t.Errorf("fingerprint drifted across the log replay: %016x vs %016x",
-				d.Fingerprint(), grown.Fingerprint())
-		}
-	}
-	if !found {
-		t.Fatalf("vehicle %q missing after reload", id)
+			// "Restart": replay snapshot + log and compare fingerprints.
+			if err := dir.Close(); err != nil {
+				t.Fatal(err)
+			}
+			reopened, err := fstore.Open(dir.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded, _, err := reopened.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var found bool
+			for _, d := range loaded {
+				if d.VehicleID != id {
+					continue
+				}
+				found = true
+				if d.Len() != grown.Len() {
+					t.Errorf("replayed %d days, want %d", d.Len(), grown.Len())
+				}
+				if d.Fingerprint() != grown.Fingerprint() {
+					t.Errorf("fingerprint drifted across the log replay: %016x vs %016x",
+						d.Fingerprint(), grown.Fingerprint())
+				}
+			}
+			if !found {
+				t.Fatalf("vehicle %q missing after reload", id)
+			}
+		})
 	}
 }
 
@@ -406,35 +441,36 @@ func TestStoreAppendLogsAndReplays(t *testing.T) {
 // rejected without touching the store.
 func TestStoreAppendErrors(t *testing.T) {
 	datasets := persistDatasets(t)
-	store, err := NewStore(datasets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := store.AppendContext(context.Background(), "veh-nope", []fstore.Day{{}}, etl.MissingForwardFill); !errors.Is(err, ErrUnknownVehicle) {
-		t.Errorf("unknown vehicle error = %v, want ErrUnknownVehicle", err)
-	}
-	if _, _, err := store.AppendContext(context.Background(), datasets[0].VehicleID, nil, etl.MissingForwardFill); err == nil {
-		t.Error("empty batch accepted")
-	}
-	// A failing appender must leave memory untouched.
-	boom := errors.New("log write failed")
-	store.SetAppender(func(string, ...fstore.Day) error { return boom })
-	id := datasets[0].VehicleID
-	gen := store.Generation(id)
-	day := fstore.Day{
-		Date:     datasets[0].Date(datasets[0].Len()-1).AddDate(0, 0, 1),
-		Hours:    2,
-		Observed: true,
-		Channels: singleDayChannels(datasets[0]),
-	}
-	if _, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill); !errors.Is(err, boom) {
-		t.Fatalf("Append error = %v, want %v", err, boom)
-	}
-	if d, _ := store.Get(id); d.Len() != datasets[0].Len() {
-		t.Error("rejected Append mutated the store")
-	}
-	if store.Generation(id) != gen {
-		t.Error("rejected Append bumped the generation")
+	for _, tc := range contractStores(t, datasets) {
+		t.Run(tc.name, func(t *testing.T) {
+			store := tc.store
+			if _, _, err := store.AppendContext(context.Background(), "veh-nope", []fstore.Day{{}}, etl.MissingForwardFill); !errors.Is(err, ErrUnknownVehicle) {
+				t.Errorf("unknown vehicle error = %v, want ErrUnknownVehicle", err)
+			}
+			if _, _, err := store.AppendContext(context.Background(), datasets[0].VehicleID, nil, etl.MissingForwardFill); err == nil {
+				t.Error("empty batch accepted")
+			}
+			// A failing appender must leave memory untouched.
+			boom := errors.New("log write failed")
+			store.SetAppender(func(string, ...fstore.Day) error { return boom })
+			id := datasets[0].VehicleID
+			gen := store.Generation(id)
+			day := fstore.Day{
+				Date:     datasets[0].Date(datasets[0].Len()-1).AddDate(0, 0, 1),
+				Hours:    2,
+				Observed: true,
+				Channels: singleDayChannels(datasets[0]),
+			}
+			if _, _, err := store.AppendContext(context.Background(), id, []fstore.Day{day}, etl.MissingForwardFill); !errors.Is(err, boom) {
+				t.Fatalf("Append error = %v, want %v", err, boom)
+			}
+			if d, _ := store.Get(id); d.Len() != datasets[0].Len() {
+				t.Error("rejected Append mutated the store")
+			}
+			if store.Generation(id) != gen {
+				t.Error("rejected Append bumped the generation")
+			}
+		})
 	}
 }
 

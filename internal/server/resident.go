@@ -1,12 +1,14 @@
 package server
 
-// Bounded-memory residency: in lazy mode the Store holds a managed
-// subset of the fleet in RAM instead of a map populated at boot.
-// Datasets fault in on first use through a loader (single-flighted on
-// the per-vehicle writer lock), a resident-bytes accountant drives LRU
-// eviction of cold datasets under a budget, and in-flight requests pin
-// their dataset so eviction never drops a vehicle mid-fit. Datasets
-// are immutable while stored, so even a reference that outlives its
+// Residency: the Store holds one vehicle entry per roster ID, and an
+// entry's dataset is either resident or not. An eager store is a
+// roster whose every entry is resident and that has no budget, so
+// nothing ever leaves; a lazy store starts with nothing resident,
+// faults datasets in through a loader (single-flighted on the
+// per-vehicle writer lock), and a resident-bytes accountant drives LRU
+// eviction of cold datasets under a budget. Every acquisition pins its
+// vehicle so eviction never drops a dataset mid-fit. Datasets are
+// immutable while stored, so even a reference that outlives its
 // residency stays valid — pins exist to keep the working set stable,
 // not to patch memory safety.
 
@@ -35,60 +37,85 @@ var (
 		"Cold datasets evicted from the serving store under the resident budget.")
 )
 
-// resident is one vehicle's managed in-memory state.
-type resident struct {
+// vehicle is one roster entry: the vehicle's generation, which
+// survives eviction so a reloaded vehicle keeps its cache keys, and
+// its resident state. Entries are never removed from the roster, so a
+// *vehicle stays valid for the store's lifetime. All fields are
+// guarded by Store.mu.
+type vehicle struct {
+	id  string
+	gen uint64 // mutation counter, bumped by Put and AppendContext
+	// ds is the resident dataset; nil means not resident (only on a
+	// store with a loader).
 	ds   *etl.VehicleDataset
 	fp   uint64 // dataset fingerprint, computed once at insert
 	size int64  // etl.SizeBytes at insert, the accounting unit
 	pins int    // in-flight requests holding the dataset; >0 blocks eviction
-	el   *lruElem
-}
-
-// lruElem is a node of the store's intrusive recency list (front =
-// most recently used). A hand-rolled doubly linked list keeps the
-// element embedded in the resident, so touch/evict are pointer moves
-// with no container/list type assertions on the hot path.
-type lruElem struct {
-	id         string
-	prev, next *lruElem
+	// dirty marks a resident whose appended days are not yet folded
+	// into its on-disk snapshot (set by the append-log path, cleared by
+	// Put, compaction and eviction).
+	dirty bool
+	// prev and next link the resident entries into the store's
+	// recency list (front = most recently used), so touch and evict
+	// are pointer moves.
+	prev, next *vehicle
 }
 
 // lruList is the recency order of resident vehicles.
 type lruList struct {
-	front, back *lruElem
+	front, back *vehicle
 }
 
-func (l *lruList) pushFront(e *lruElem) {
-	e.prev, e.next = nil, l.front
+func (l *lruList) pushFront(v *vehicle) {
+	v.prev, v.next = nil, l.front
 	if l.front != nil {
-		l.front.prev = e
+		l.front.prev = v
 	}
-	l.front = e
+	l.front = v
 	if l.back == nil {
-		l.back = e
+		l.back = v
 	}
 }
 
-func (l *lruList) remove(e *lruElem) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (l *lruList) remove(v *vehicle) {
+	if v.prev != nil {
+		v.prev.next = v.next
 	} else {
-		l.front = e.next
+		l.front = v.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if v.next != nil {
+		v.next.prev = v.prev
 	} else {
-		l.back = e.prev
+		l.back = v.prev
 	}
-	e.prev, e.next = nil, nil
+	v.prev, v.next = nil, nil
 }
 
-func (l *lruList) moveToFront(e *lruElem) {
-	if l.front == e {
+func (l *lruList) moveToFront(v *vehicle) {
+	if l.front == v {
 		return
 	}
-	l.remove(e)
-	l.pushFront(e)
+	l.remove(v)
+	l.pushFront(v)
+}
+
+// newRoster builds a store answering for exactly ids, none of them
+// resident yet. Both constructors start here, so both reject an empty
+// or repeated vehicle ID.
+func newRoster(ids []string) (*Store, error) {
+	s := &Store{vehicles: make(map[string]*vehicle, len(ids))}
+	entries := make([]vehicle, len(ids)) // one allocation for the whole roster
+	for i, id := range ids {
+		if id == "" {
+			return nil, fmt.Errorf("server: roster has an empty vehicle id")
+		}
+		if s.vehicles[id] != nil {
+			return nil, fmt.Errorf("server: roster lists %q twice", id)
+		}
+		entries[i].id = id
+		s.vehicles[id] = &entries[i]
+	}
+	return s, nil
 }
 
 // NewLazyStore builds a store that boots from a fleet roster alone:
@@ -101,24 +128,11 @@ func NewLazyStore(ids []string, loader func(id string) (*etl.VehicleDataset, err
 	if loader == nil {
 		return nil, fmt.Errorf("server: lazy store needs a loader")
 	}
-	s := &Store{
-		res:    make(map[string]*resident),
-		gens:   make(map[string]uint64),
-		known:  make(map[string]bool, len(ids)),
-		dirty:  make(map[string]bool),
-		loader: loader,
-		lru:    &lruList{},
-		budget: budget,
+	s, err := newRoster(ids)
+	if err != nil {
+		return nil, err
 	}
-	for _, id := range ids {
-		if id == "" {
-			return nil, fmt.Errorf("server: lazy store roster has an empty vehicle id")
-		}
-		if s.known[id] {
-			return nil, fmt.Errorf("server: lazy store roster lists %q twice", id)
-		}
-		s.known[id] = true
-	}
+	s.loader, s.budget = loader, budget
 	return s, nil
 }
 
@@ -128,37 +142,21 @@ func (s *Store) Lazy() bool { return s.loader != nil }
 // Acquire returns one vehicle's dataset pinned against eviction,
 // together with its fingerprint and generation (read consistently for
 // cache keying) and a release func the caller must invoke when done
-// (idempotent). In lazy mode a non-resident vehicle is loaded on miss
-// under its per-vehicle writer lock — concurrent requests for the same
-// cold vehicle trigger exactly one load. Unknown vehicles fail with
+// (idempotent). A non-resident vehicle is loaded on miss under its
+// per-vehicle writer lock — concurrent requests for the same cold
+// vehicle trigger exactly one load. Unknown vehicles fail with
 // ErrUnknownVehicle; a loader failure (e.g. a corrupt snapshot) fails
 // only this vehicle's acquisition, never the store.
 func (s *Store) Acquire(ctx context.Context, id string) (d *etl.VehicleDataset, fp, gen uint64, release func(), err error) {
-	if s.loader == nil {
-		// Eager store: nothing evicts, so reads stay on the shared
-		// lock with a no-op release.
-		s.mu.RLock()
-		r, ok := s.res[id]
-		if !ok {
-			s.mu.RUnlock()
-			return nil, 0, 0, nil, fmt.Errorf("server: %w: %q", ErrUnknownVehicle, id)
-		}
-		d, fp, gen = r.ds, r.fp, s.gens[id]
-		s.mu.RUnlock()
-		return d, fp, gen, func() {}, nil
-	}
-
 	s.mu.Lock()
-	if r, ok := s.res[id]; ok {
-		r.pins++
-		s.lru.moveToFront(r.el)
-		d, fp, gen = r.ds, r.fp, s.gens[id]
+	v := s.vehicles[id]
+	if v != nil && v.ds != nil {
+		d, fp, gen = s.pinLocked(v)
 		s.mu.Unlock()
-		return d, fp, gen, s.releaseFunc(id), nil
+		return d, fp, gen, s.releaseFunc(v), nil
 	}
-	known := s.known[id]
 	s.mu.Unlock()
-	if !known {
+	if v == nil {
 		return nil, 0, 0, nil, fmt.Errorf("server: %w: %q", ErrUnknownVehicle, id)
 	}
 
@@ -166,143 +164,132 @@ func (s *Store) Acquire(ctx context.Context, id string) (d *etl.VehicleDataset, 
 	// requester loads, the rest block here and find it resident.
 	s.lockVehicle(id)
 	defer s.unlockVehicle(id)
-	r, err := s.faultLocked(ctx, id)
+	d, fp, gen, err = s.faultLocked(ctx, v)
 	if err != nil {
 		return nil, 0, 0, nil, err
 	}
-	s.mu.Lock()
-	d, fp, gen = r.ds, r.fp, s.gens[id]
-	s.mu.Unlock()
-	return d, fp, gen, s.releaseFunc(id), nil
+	return d, fp, gen, s.releaseFunc(v), nil
 }
 
-// faultLocked makes id resident through the loader and returns its
-// resident entry with one pin already held (so a racing eviction pass
-// cannot drop it before the caller uses it). The caller must hold the
-// vehicle's writer lock; that is what single-flights concurrent faults
-// of the same vehicle.
-func (s *Store) faultLocked(ctx context.Context, id string) (*resident, error) {
+// pinLocked pins a resident vehicle, marks it most recently used and
+// reads its dataset, fingerprint and generation. Caller holds s.mu.
+func (s *Store) pinLocked(v *vehicle) (*etl.VehicleDataset, uint64, uint64) {
+	v.pins++
+	s.lru.moveToFront(v)
+	return v.ds, v.fp, v.gen
+}
+
+// faultLocked makes v resident through the loader if it is not yet,
+// and returns its state with one pin already held (so a racing
+// eviction pass cannot drop it before the caller uses it). The caller
+// must hold the vehicle's writer lock; that is what single-flights
+// concurrent faults of the same vehicle.
+func (s *Store) faultLocked(ctx context.Context, v *vehicle) (*etl.VehicleDataset, uint64, uint64, error) {
 	// Re-check residency: a racing Acquire (or AppendContext) may have
 	// faulted the vehicle in while this caller waited for the lock.
 	s.mu.Lock()
-	if r, ok := s.res[id]; ok {
-		r.pins++
-		s.lru.moveToFront(r.el)
+	if v.ds != nil {
+		d, fp, gen := s.pinLocked(v)
 		s.mu.Unlock()
-		return r, nil
+		return d, fp, gen, nil
 	}
 	s.mu.Unlock()
 
 	_, sp := trace.Start(ctx, "store.load")
-	sp.SetAttr("vehicle", id)
-	d, err := s.loader(id)
+	sp.SetAttr("vehicle", v.id)
+	d, err := s.loader(v.id)
 	if err == nil {
 		err = d.Validate()
 	}
-	if err == nil && d.VehicleID != id {
+	if err == nil && d.VehicleID != v.id {
 		err = fmt.Errorf("loader returned dataset %q", d.VehicleID)
 	}
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		return nil, fmt.Errorf("server: load %q: %w", id, err)
+		return nil, 0, 0, fmt.Errorf("server: load %q: %w", v.id, err)
 	}
 
 	s.mu.Lock()
-	r := s.insertLocked(d)
-	r.pins++
+	defer s.mu.Unlock()
+	s.insertLocked(v, d)
+	v.pins++
 	s.evictLocked(ctx)
-	s.mu.Unlock()
-	return r, nil
+	return v.ds, v.fp, v.gen, nil
 }
 
 // releaseFunc builds the idempotent unpin closure Acquire hands out.
-// A release also runs an eviction pass when the store sits over
-// budget: pinned entries are what keeps evictLocked from reclaiming,
-// so the moment a pin drains is the moment reclaim can proceed —
-// without this the store would stay over budget until the next fault.
-func (s *Store) releaseFunc(id string) func() {
+func (s *Store) releaseFunc(v *vehicle) func() {
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			if r, ok := s.res[id]; ok && r.pins > 0 {
-				r.pins--
-			}
-			if s.budget > 0 && s.residentBytes > s.budget {
-				s.evictLocked(context.Background())
-			}
-			s.mu.Unlock()
-		})
-	}
+	return func() { once.Do(func() { s.unpin(v) }) }
 }
 
-// insertLocked makes d the resident state of its vehicle, reusing the
-// existing entry (and its pins) on an in-place update — which is how
-// AppendContext and Put swap a new dataset in without invalidating the
-// pins in-flight readers hold on the vehicle. Caller holds s.mu.
-func (s *Store) insertLocked(d *etl.VehicleDataset) *resident {
-	size := d.SizeBytes()
-	r, ok := s.res[d.VehicleID]
-	if ok {
-		s.residentBytes += size - r.size
-		r.ds, r.fp, r.size = d, d.Fingerprint(), size
-		if r.el != nil {
-			s.lru.moveToFront(r.el)
-		}
+// unpin drops one pin and runs an eviction pass: pinned entries are
+// what keeps evictLocked from reclaiming, so the moment a pin drains
+// is the moment reclaim can proceed — without this the store would
+// stay over budget until the next fault.
+func (s *Store) unpin(v *vehicle) {
+	s.mu.Lock()
+	if v.pins > 0 {
+		v.pins--
+	}
+	s.evictLocked(context.Background())
+	s.mu.Unlock()
+}
+
+// insertLocked makes d the resident dataset of v. An in-place update
+// keeps the entry's pins, which is how AppendContext and Put swap a
+// new dataset in without invalidating the pins in-flight readers hold
+// on the vehicle. Caller holds s.mu.
+func (s *Store) insertLocked(v *vehicle, d *etl.VehicleDataset) {
+	if v.ds == nil {
+		s.resident++
+		s.lru.pushFront(v)
 	} else {
-		r = &resident{ds: d, fp: d.Fingerprint(), size: size}
-		if s.lru != nil {
-			r.el = &lruElem{id: d.VehicleID}
-			s.lru.pushFront(r.el)
-		}
-		s.res[d.VehicleID] = r
-		s.residentBytes += size
+		s.residentBytes -= v.size
+		s.lru.moveToFront(v)
 	}
-	if s.known == nil {
-		s.known = make(map[string]bool)
-	}
-	s.known[d.VehicleID] = true
+	v.ds, v.fp, v.size = d, d.Fingerprint(), d.SizeBytes()
+	s.residentBytes += v.size
 	s.updateGaugesLocked()
-	return r
 }
 
 // evictLocked drops cold residents from the LRU tail until the
 // accountant is back under budget. Pinned vehicles are skipped — if
 // everything left is pinned the store runs over budget until pins
 // drain, which is the documented trade against yanking a dataset out
-// from under an in-flight fit. No-op on eager stores and with no
-// budget. Caller holds s.mu.
+// from under an in-flight fit. No-op without a budget. Caller holds
+// s.mu.
 func (s *Store) evictLocked(ctx context.Context) {
-	if s.lru == nil || s.budget <= 0 {
+	if s.budget <= 0 {
 		return
 	}
 	for s.residentBytes > s.budget {
-		el := s.lru.back
-		for el != nil && s.res[el.id].pins > 0 {
-			el = el.prev
+		v := s.lru.back
+		for v != nil && v.pins > 0 {
+			v = v.prev
 		}
-		if el == nil {
+		if v == nil {
 			return
 		}
-		r := s.res[el.id]
 		_, sp := trace.Start(ctx, "store.evict")
-		sp.SetAttr("vehicle", el.id)
-		sp.SetAttrInt("bytes", int(r.size))
+		sp.SetAttr("vehicle", v.id)
+		sp.SetAttrInt("bytes", int(v.size))
 		sp.End()
-		s.lru.remove(el)
-		delete(s.res, el.id)
+		s.lru.remove(v)
+		s.resident--
+		s.residentBytes -= v.size
 		// An evicted vehicle's appended days live durably in the
 		// append log; dropping the dirty mark is safe (reload replays).
-		delete(s.dirty, el.id)
-		s.residentBytes -= r.size
+		// The generation stays with the entry.
+		v.ds, v.fp, v.size, v.dirty = nil, 0, 0, false
 		evictionsTotal.With().Inc()
 		s.updateGaugesLocked()
 	}
 }
 
 func (s *Store) updateGaugesLocked() {
-	residentVehicles.With().Set(float64(len(s.res)))
+	residentVehicles.With().Set(float64(s.resident))
 	residentBytesGauge.With().Set(float64(s.residentBytes))
 }
 
@@ -311,7 +298,7 @@ func (s *Store) updateGaugesLocked() {
 func (s *Store) ResidentStats() (vehicles int, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.res), s.residentBytes
+	return s.resident, s.residentBytes
 }
 
 // DirtyResidents returns the resident datasets whose appended days
@@ -321,10 +308,10 @@ func (s *Store) ResidentStats() (vehicles int, bytes int64) {
 func (s *Store) DirtyResidents() []*etl.VehicleDataset {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*etl.VehicleDataset, 0, len(s.dirty))
-	for id := range s.dirty {
-		if r, ok := s.res[id]; ok {
-			out = append(out, r.ds)
+	var out []*etl.VehicleDataset
+	for v := s.lru.front; v != nil; v = v.next {
+		if v.dirty {
+			out = append(out, v.ds)
 		}
 	}
 	return out

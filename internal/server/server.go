@@ -2,8 +2,10 @@
 // shape a fleet-management backend would deploy: per-vehicle forecast,
 // hold-out evaluation and fleet listing endpoints over a dataset store
 // that serves from memory and can be durably backed by the on-disk
-// fleet store (internal/fstore) via SetPersister. Handlers are stdlib
-// net/http only.
+// fleet store (internal/fstore) via SetPersister. The store keeps one
+// entry per roster vehicle on a single residency path: an eager store
+// has every entry resident, a lazy one faults entries in and evicts
+// them under a budget. Handlers are stdlib net/http only.
 package server
 
 import (
@@ -32,14 +34,17 @@ import (
 // not hold.
 var ErrUnknownVehicle = errors.New("unknown vehicle")
 
-// Store holds the per-vehicle datasets the API serves, either eagerly
-// (every dataset resident from construction) or lazily (datasets fault
-// in through a loader on first use and evict under a resident-bytes
-// budget — see NewLazyStore and resident.go). It is safe for
-// concurrent use; Put may replace datasets at run time, bumping that
-// vehicle's generation so caches keyed on its previous state
-// invalidate — without discarding every other vehicle's cached
-// artifacts, which is what a streaming per-vehicle ingest needs.
+// Store holds the per-vehicle datasets the API serves: one entry per
+// vehicle of the fleet roster, resident or not (see resident.go). An
+// eager store (NewStore) is a roster whose every dataset is resident
+// from construction and that has no budget, so nothing evicts; a lazy
+// store (NewLazyStore) faults datasets in through a loader on first
+// use and evicts them under a resident-bytes budget. Both run the same
+// code path. It is safe for concurrent use; Put may replace datasets
+// at run time, bumping that vehicle's generation so caches keyed on
+// its previous state invalidate — without discarding every other
+// vehicle's cached artifacts, which is what a streaming per-vehicle
+// ingest needs.
 //
 // Writes are serialized per vehicle and persist OUTSIDE the store-wide
 // lock: the durability hook fsyncs, and a disk round-trip under s.mu
@@ -48,28 +53,19 @@ var ErrUnknownVehicle = errors.New("unknown vehicle")
 // order is always vehicle lock → s.mu, never the reverse.
 type Store struct {
 	mu sync.RWMutex
-	// res is the resident working set: in eager mode the whole fleet,
-	// in lazy mode whatever the budget and traffic keep warm.
-	res map[string]*resident
-	// gens counts mutations per vehicle; absent means zero. It
-	// survives eviction, so a reloaded vehicle keeps its generation
-	// and cached artifacts stay correctly keyed.
-	gens map[string]uint64
-	// known is the fleet roster: every vehicle ID the store answers
-	// for, resident or not. In eager mode it mirrors res.
-	known map[string]bool
-	// dirty marks residents whose appended days are not yet folded
-	// into their on-disk snapshot (set by the append-log path, cleared
-	// by Put, compaction and eviction).
-	dirty map[string]bool
+	// vehicles is the fleet roster: every vehicle the store answers
+	// for, resident or not, keyed by ID.
+	vehicles map[string]*vehicle
+	// lru is the recency order of the resident entries.
+	lru lruList
+	// resident counts resident entries and residentBytes sums their
+	// sizes; budget bounds residentBytes, <= 0 means no eviction.
+	resident      int
+	residentBytes int64
+	budget        int64
 	// loader, when set, faults one vehicle in on miss (lazy mode).
 	// Immutable after construction.
 	loader func(id string) (*etl.VehicleDataset, error)
-	// lru is the residency recency list (lazy mode only).
-	lru *lruList
-	// budget bounds residentBytes; <= 0 means no eviction.
-	budget        int64
-	residentBytes int64
 	// persist, when set, is called on every Put before the dataset
 	// becomes visible; a persist failure rejects the Put.
 	persist func(*etl.VehicleDataset) error
@@ -90,22 +86,25 @@ type Store struct {
 	vlocks map[string]*vlock
 }
 
-// NewStore builds an eager store from datasets, keyed by vehicle ID.
-// Every dataset must pass Validate; an empty or misaligned dataset
-// would otherwise surface later as a broken response body (NaN
-// active_fraction) or an index panic.
+// NewStore builds an eager store from datasets: a roster of their
+// vehicle IDs with every dataset resident. Vehicle IDs must be
+// non-empty and distinct, and every dataset must pass Validate; an
+// empty or misaligned dataset would otherwise surface later as a
+// broken response body (NaN active_fraction) or an index panic.
 func NewStore(datasets []*etl.VehicleDataset) (*Store, error) {
-	s := &Store{
-		res:   make(map[string]*resident, len(datasets)),
-		gens:  make(map[string]uint64),
-		known: make(map[string]bool, len(datasets)),
-		dirty: make(map[string]bool),
+	ids := make([]string, len(datasets))
+	for i, d := range datasets {
+		ids[i] = d.VehicleID
+	}
+	s, err := newRoster(ids)
+	if err != nil {
+		return nil, err
 	}
 	for _, d := range datasets {
 		if err := d.Validate(); err != nil {
 			return nil, fmt.Errorf("server: dataset %q: %w", d.VehicleID, err)
 		}
-		s.insertLocked(d)
+		s.insertLocked(s.vehicles[d.VehicleID], d)
 	}
 	return s, nil
 }
@@ -183,9 +182,14 @@ func (s *Store) unlockVehicle(id string) {
 // the vehicle's own writer mutex, so it never stalls readers or other
 // vehicles' writers.
 func (s *Store) Put(d *etl.VehicleDataset) error {
+	if d.VehicleID == "" {
+		return fmt.Errorf("server: dataset has an empty vehicle id")
+	}
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("server: dataset %q: %w", d.VehicleID, err)
 	}
+	// The writer lock lives outside the roster, so a new vehicle is
+	// locked before it has an entry and a failed persist leaves none.
 	s.lockVehicle(d.VehicleID)
 	defer s.unlockVehicle(d.VehicleID)
 	s.mu.RLock()
@@ -197,11 +201,16 @@ func (s *Store) Put(d *etl.VehicleDataset) error {
 		}
 	}
 	s.mu.Lock()
-	s.insertLocked(d)
-	s.gens[d.VehicleID]++
+	v := s.vehicles[d.VehicleID]
+	if v == nil {
+		v = &vehicle{id: d.VehicleID}
+		s.vehicles[v.id] = v
+	}
+	s.insertLocked(v, d)
+	v.gen++
 	// A Put that persisted wrote a full snapshot; without a persister
 	// there is no disk state to be behind of either way.
-	delete(s.dirty, d.VehicleID)
+	v.dirty = false
 	s.evictLocked(context.Background())
 	s.mu.Unlock()
 	return nil
@@ -229,27 +238,21 @@ func (s *Store) AppendContext(ctx context.Context, id string, days []fstore.Day,
 	s.lockVehicle(id)
 	defer s.unlockVehicle(id)
 	s.mu.RLock()
-	cur, ok := s.lookupResidentLocked(id)
+	v := s.vehicles[id]
 	appendLog, persist, compact := s.appendLog, s.persist, s.compact
 	s.mu.RUnlock()
-	if !ok {
-		// An evicted (or never-loaded) vehicle load-then-mutates
-		// transparently: fault it in under the writer lock we already
-		// hold, pinned so the racing eviction pass leaves it alone
-		// until the swap below.
-		s.mu.RLock()
-		known := s.known[id]
-		s.mu.RUnlock()
-		if s.loader == nil || !known {
-			return nil, 0, fmt.Errorf("server: %w: %q", ErrUnknownVehicle, id)
-		}
-		r, err := s.faultLocked(ctx, id)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer s.releaseFunc(id)()
-		cur = r.ds
+	if v == nil {
+		return nil, 0, fmt.Errorf("server: %w: %q", ErrUnknownVehicle, id)
 	}
+	// An evicted (or never-loaded) vehicle load-then-mutates
+	// transparently: fault it in under the writer lock we already
+	// hold. The pin keeps the racing eviction pass away until the swap
+	// below.
+	cur, _, _, err := s.faultLocked(ctx, v)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer s.unpin(v)
 	// Appends extend history, never rewrite it: a day at or before the
 	// stored tail (e.g. from two racing batches for the same vehicle —
 	// both summarized against the same snapshot, serialized here) is
@@ -283,16 +286,12 @@ func (s *Store) AppendContext(ctx context.Context, id string, days []fstore.Day,
 		}
 	}
 	s.mu.Lock()
-	s.insertLocked(grown)
-	s.gens[id]++
-	gen := s.gens[id]
-	if logged {
-		// The snapshot on disk is now behind the resident state; only
-		// the append log has the new days.
-		s.dirty[id] = true
-	} else {
-		delete(s.dirty, id)
-	}
+	s.insertLocked(v, grown)
+	v.gen++
+	gen := v.gen
+	// After a logged append the snapshot on disk is behind the resident
+	// state; only the append log has the new days.
+	v.dirty = logged
 	s.evictLocked(ctx)
 	s.mu.Unlock()
 
@@ -308,21 +307,11 @@ func (s *Store) AppendContext(ctx context.Context, id string, days []fstore.Day,
 			serverLog.Warn("append-log compaction failed", "vehicle", id, "error", err)
 		case compacted:
 			s.mu.Lock()
-			delete(s.dirty, id)
+			v.dirty = false
 			s.mu.Unlock()
 		}
 	}
 	return grown, gen, nil
-}
-
-// lookupResidentLocked returns a vehicle's resident dataset without
-// faulting. Caller holds s.mu (read or write).
-func (s *Store) lookupResidentLocked(id string) (*etl.VehicleDataset, bool) {
-	r, ok := s.res[id]
-	if !ok {
-		return nil, false
-	}
-	return r.ds, true
 }
 
 // tailDays re-reads the appended (cleaned) suffix of d as log records.
@@ -347,9 +336,9 @@ func tailDays(d *etl.VehicleDataset, from int) []fstore.Day {
 func (s *Store) Snapshot() []*etl.VehicleDataset {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]*etl.VehicleDataset, 0, len(s.res))
-	for _, r := range s.res {
-		out = append(out, r.ds)
+	out := make([]*etl.VehicleDataset, 0, s.resident)
+	for v := s.lru.front; v != nil; v = v.next {
+		out = append(out, v.ds)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].VehicleID < out[j].VehicleID })
 	return out
@@ -361,7 +350,10 @@ func (s *Store) Snapshot() []*etl.VehicleDataset {
 func (s *Store) Generation(id string) uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.gens[id]
+	if v := s.vehicles[id]; v != nil {
+		return v.gen
+	}
+	return 0
 }
 
 // Get returns the dataset of one vehicle, faulting it in on a lazy
@@ -377,24 +369,12 @@ func (s *Store) Get(id string) (*etl.VehicleDataset, bool) {
 	return d, true
 }
 
-// lookup returns one vehicle's dataset together with its fingerprint
-// and its generation, mutually consistent for cache keying, without
-// holding a pin (see Get for why that is safe).
-func (s *Store) lookup(id string) (d *etl.VehicleDataset, fp, gen uint64, ok bool) {
-	d, fp, gen, release, err := s.Acquire(context.Background(), id)
-	if err != nil {
-		return nil, 0, 0, false
-	}
-	release()
-	return d, fp, gen, true
-}
-
 // Len returns the fleet size — every vehicle the store answers for,
 // resident or not.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.known)
+	return len(s.vehicles)
 }
 
 // IDs returns every vehicle ID in the fleet roster, sorted. On a lazy
@@ -403,8 +383,8 @@ func (s *Store) Len() int {
 func (s *Store) IDs() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.known))
-	for id := range s.known {
+	out := make([]string, 0, len(s.vehicles))
+	for id := range s.vehicles {
 		out = append(out, id)
 	}
 	sort.Strings(out)

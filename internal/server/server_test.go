@@ -254,9 +254,23 @@ func TestStore(t *testing.T) {
 func TestNewStoreRejectsInvalidDataset(t *testing.T) {
 	// An empty dataset fails etl.Validate and must never enter the
 	// store: downstream it summarizes to Active = 0/0 = NaN, which
-	// encoding/json cannot encode.
-	if _, err := NewStore([]*etl.VehicleDataset{{VehicleID: "veh-empty"}}); err == nil {
-		t.Fatal("empty dataset accepted")
+	// encoding/json cannot encode. A roster needs distinct, non-empty
+	// vehicle IDs: a repeated one would silently keep only the last
+	// dataset.
+	datasets := persistDatasets(t)
+	noID := datasets[0].Clone()
+	noID.VehicleID = ""
+	for _, tc := range []struct {
+		name     string
+		datasets []*etl.VehicleDataset
+	}{
+		{"an empty dataset", []*etl.VehicleDataset{{VehicleID: "veh-empty"}}},
+		{"an empty vehicle id", []*etl.VehicleDataset{datasets[0], noID}},
+		{"a repeated vehicle id", []*etl.VehicleDataset{datasets[0], datasets[1], datasets[0].Clone()}},
+	} {
+		if _, err := NewStore(tc.datasets); err == nil {
+			t.Errorf("NewStore accepted a fleet with %s", tc.name)
+		}
 	}
 	s, err := NewStore(nil)
 	if err != nil {
@@ -264,6 +278,9 @@ func TestNewStoreRejectsInvalidDataset(t *testing.T) {
 	}
 	if err := s.Put(&etl.VehicleDataset{VehicleID: "veh-empty"}); err == nil {
 		t.Fatal("Put accepted an empty dataset")
+	}
+	if err := s.Put(noID); err == nil || s.Len() != 0 {
+		t.Fatalf("Put of a dataset with an empty vehicle id: err = %v, roster size %d", err, s.Len())
 	}
 }
 
