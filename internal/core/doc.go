@@ -27,6 +27,13 @@
 // back as lag input for the following step. Every step takes a
 // context; an active trace span in it records the step as a child.
 //
+// A forecast under the sliding strategy reads only the last W+MaxLag
+// view rows, so [NewForecastPlanContext] compiles a forecast plan over
+// a copy of just those rows: fits and forecasts bit-identical to the
+// full plan's at O((W+MaxLag)×F) memory whatever the series length.
+// [Plan.ExtendContext] grows either kind of plan over appended days;
+// a forecast plan refuses evaluation.
+//
 // [EvaluateVehicleContext] is the unit of work of the whole evaluation
 // campaign — a thin driver that compiles a Plan and runs it, as are
 // [Forecast], [ForecastHorizon] and [ForecastInterval].

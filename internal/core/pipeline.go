@@ -93,7 +93,7 @@ func Forecast(d *etl.VehicleDataset, cfg Config) (float64, []int, error) {
 // forecast.
 func ForecastWith(d *etl.VehicleDataset, cfg Config, target map[string]float64) (float64, []int, error) {
 	ctx := context.Background()
-	p, err := NewPlanContext(ctx, d, cfg)
+	p, err := NewForecastPlanContext(ctx, d, cfg)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -119,7 +119,7 @@ func ForecastHorizon(d *etl.VehicleDataset, cfg Config, h int, targets []map[str
 		return nil, fmt.Errorf("%w: horizon %d", ErrConfig, h)
 	}
 	ctx := context.Background()
-	p, err := NewPlanContext(ctx, d, cfg)
+	p, err := NewForecastPlanContext(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}

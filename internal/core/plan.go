@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vup/internal/etl"
@@ -23,27 +24,61 @@ import (
 // public drivers (EvaluateVehicleContext, Forecast, ForecastHorizon,
 // ForecastInterval) are thin wrappers that compile a Plan and run it;
 // callers that run several of those on the same vehicle and config
-// (the server's evaluate+forecast handlers, the calibrated-interval
-// path) compile once and share it.
+// (the calibrated-interval path) compile once and share it.
 //
-// A Plan is immutable after NewPlanContext and safe for concurrent
-// use; the per-window scratch of EvaluateContext comes from a pool
-// shared by its workers, and Fitted builds its own per call.
+// A plan is full or a forecast plan. NewPlanContext compiles a full
+// plan over the whole view; evaluation and intervals need one. Under
+// the sliding strategy NewForecastPlanContext compiles a forecast plan
+// over a copy of only the last W+MaxLag view rows, which is all that a
+// fit on the most recent window and its forecasts read, so it holds
+// O((W+MaxLag)×F) however long the series grows. A forecast plan
+// answers FitContext exactly as the full plan does and refuses
+// EvaluateContext.
+//
+// A Plan is immutable after compilation and safe for concurrent use;
+// the per-window scratch of EvaluateContext comes from a pool shared by
+// its workers, and Fitted builds its own per call.
 type Plan struct {
 	cfg  Config
-	d    *etl.VehicleDataset // original dataset: identity + country
-	view *etl.VehicleDataset // scenario view of the series
+	d    *etl.VehicleDataset // dataset compiled from; nil on a forecast plan
+	view *etl.VehicleDataset // scenario view; on a forecast plan a copy of its last rows
 	mat  *featsel.Materialized
+
+	// off is the scenario-view index of view row 0 (0 on a full plan)
+	// and days the length of the dataset compiled from.
+	off, days int
+	// claimed guards the spare capacity past a forecast plan's view
+	// rows, as featsel's tailOwned does for the materialization: one
+	// extension appends in place, every other one copies.
+	claimed atomic.Bool
 }
 
 // NewPlanContext validates the configuration and dataset, applies the
-// scenario transformation and materializes the lag-superset features.
-// The materialization covers lags up to cfg.MaxLag (clamped to the
-// view length), so every per-window lag selection gathers from it by
-// block copies instead of re-walking the dataset maps. When ctx
-// carries an active trace span, the compilation is recorded as a
-// "plan.build" child (with the materialization under it).
-func NewPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (p *Plan, err error) {
+// scenario transformation and materializes the lag-superset features
+// over the whole view: a full plan. The materialization covers lags up
+// to cfg.MaxLag (clamped to the view length), so every per-window lag
+// selection gathers from it by block copies instead of re-walking the
+// dataset maps. When ctx carries an active trace span, the compilation
+// is recorded as a "plan.build" child (with the materialization under
+// it).
+func NewPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (*Plan, error) {
+	return compile(ctx, d, cfg, false)
+}
+
+// NewForecastPlanContext compiles the plan a forecast needs. Under the
+// expanding strategy, which trains on the whole series, that is
+// NewPlanContext. Under the sliding strategy it validates and builds
+// the view as NewPlanContext does, then copies the last W+MaxLag view
+// rows and materializes only those, with the lag budget clamped to the
+// whole view's length. FitContext, ForecastContext and HorizonContext
+// on it are bit-identical to the full plan's; EvaluateContext and
+// ForecastIntervalContext return an error. The compilation is traced
+// as NewPlanContext's is.
+func NewForecastPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (*Plan, error) {
+	return compile(ctx, d, cfg, cfg.Strategy == timeseries.Sliding)
+}
+
+func compile(ctx context.Context, d *etl.VehicleDataset, cfg Config, tail bool) (p *Plan, err error) {
 	ctx, sp := trace.Start(ctx, "plan.build")
 	if sp != nil {
 		sp.SetAttr("vehicle", d.VehicleID)
@@ -63,44 +98,129 @@ func NewPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (p *
 	if err != nil {
 		return nil, err
 	}
-	maxLag := cfg.MaxLag
-	if maxLag > view.Len()-1 {
-		maxLag = view.Len() - 1
+	maxLag := lagBudget(cfg, view.Len())
+	if tail {
+		return compileTail(ctx, cfg, view, maxLag, d.Len())
 	}
-	if maxLag < 1 {
-		maxLag = 1 // degenerate view; windows will refuse their rows
-	}
-	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
-	mat, err := featsel.MaterializeContext(ctx, view, maxLag, cfg.Channels, cfg.IncludeContext, cfg.TargetChannels)
-	featureBuildSeconds.With().ObserveSince(mt)
+	mat, err := materialize(ctx, view, maxLag, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{cfg: cfg, d: d, view: view, mat: mat}, nil
+	return &Plan{cfg: cfg, d: d, view: view, mat: mat, days: d.Len()}, nil
 }
 
-// View exposes the scenario view the plan was compiled over.
+// compileTail compiles a forecast plan over a copy of the last
+// W+MaxLag rows of the scenario view v. Copying, not reslicing, is the
+// point: a reslice would keep v's whole backing arrays reachable.
+func compileTail(ctx context.Context, cfg Config, v *etl.VehicleDataset, maxLag, days int) (*Plan, error) {
+	off := max(0, v.Len()-cfg.W-cfg.MaxLag)
+	head := &etl.VehicleDataset{
+		VehicleID: v.VehicleID,
+		Type:      v.Type,
+		ModelID:   v.ModelID,
+		Country:   v.Country,
+		Start:     v.Date(off),
+		Channels:  make(map[string][]float64, len(cfg.Channels)+len(cfg.TargetChannels)),
+	}
+	for _, chans := range [][]string{cfg.Channels, cfg.TargetChannels} {
+		for _, ch := range chans {
+			if _, ok := v.Channels[ch]; ok {
+				head.Channels[ch] = nil
+			}
+		}
+	}
+	if v.Dates != nil {
+		head.Dates = []time.Time{}
+	}
+	view, err := appendView(head, v, off, false)
+	if err != nil {
+		return nil, err
+	}
+	mat, err := materialize(ctx, view, maxLag, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{cfg: cfg, view: view, mat: mat, off: off, days: days}, nil
+}
+
+// lagBudget clamps cfg.MaxLag to a view of n days; a degenerate view
+// keeps lag 1, and its windows refuse their rows.
+func lagBudget(cfg Config, n int) int {
+	return max(1, min(cfg.MaxLag, n-1))
+}
+
+// materialize builds the lag superset of view, timed into
+// pipeline_feature_build_seconds.
+func materialize(ctx context.Context, view *etl.VehicleDataset, maxLag int, cfg Config) (*featsel.Materialized, error) {
+	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
+	mat, err := featsel.MaterializeContext(ctx, view, maxLag, cfg.Channels, cfg.IncludeContext, cfg.TargetChannels)
+	featureBuildSeconds.With().ObserveSince(mt)
+	return mat, err
+}
+
+// appendView returns the rows of base followed by rows [from, v.Len())
+// of v, for the channels base carries. With inPlace it writes into the
+// spare capacity past base's rows, which the caller must own; without,
+// it copies into fresh arrays with append's geometric headroom.
+func appendView(base, v *etl.VehicleDataset, from int, inPlace bool) (*etl.VehicleDataset, error) {
+	if (base.Dates == nil) != (v.Dates == nil) {
+		return nil, fmt.Errorf("core: vehicle %s: view dates changed shape", v.VehicleID)
+	}
+	out := *base
+	out.Hours = appendRows(base.Hours, v.Hours[from:], inPlace)
+	out.Context = appendRows(base.Context, v.Context[from:], inPlace)
+	out.Observed = appendRows(base.Observed, v.Observed[from:], inPlace)
+	if base.Dates != nil {
+		out.Dates = appendRows(base.Dates, v.Dates[from:], inPlace)
+	}
+	out.Channels = make(map[string][]float64, len(base.Channels))
+	for name, col := range base.Channels {
+		src, ok := v.Channels[name]
+		if !ok {
+			return nil, fmt.Errorf("core: vehicle %s: view has no channel %q", v.VehicleID, name)
+		}
+		out.Channels[name] = appendRows(col, src[from:], inPlace)
+	}
+	return &out, nil
+}
+
+// appendRows appends add to s: in place when allowed, else into a new
+// array, so the rows past len(s) that another plan may own are never
+// written.
+func appendRows[T any](s, add []T, inPlace bool) []T {
+	if !inPlace {
+		s = s[:len(s):len(s)]
+	}
+	return append(s, add...)
+}
+
+// View exposes the scenario view the plan was compiled over: on a
+// forecast plan, the copy of its last rows with the configured
+// channels only.
 func (p *Plan) View() *etl.VehicleDataset { return p.view }
 
 // ExtendContext compiles a plan for d — the same vehicle's series with
 // days appended, as produced by the streaming-ingest path — by reusing
 // the receiver's materialization through featsel.AppendDays instead of
 // the full O(n×F) rebuild. The receiver is untouched and stays valid
-// for readers holding cached artifacts.
+// for readers holding cached artifacts. The result is of the
+// receiver's kind.
 //
 // Extension is only sound when the receiver's compiled state is a
 // strict prefix of the new one, so ExtendContext refuses (and the
-// caller falls back to NewPlanContext) when the vehicle identity
+// caller falls back to compiling afresh) when the vehicle identity
 // changed, the series shrank or rewrote history, the scenario view
 // dropped previously-kept days, or the clamped lag budget differs —
-// the one structural parameter a longer series can move.
+// the one structural parameter a longer series can move. A forecast
+// plan holds no history before its rows, so it checks bit for bit
+// only that the new view holds its rows where it had them.
 func (p *Plan) ExtendContext(ctx context.Context, d *etl.VehicleDataset) (np *Plan, err error) {
 	ctx, sp := trace.Start(ctx, "plan.extend")
 	if sp != nil {
 		sp.SetAttr("vehicle", d.VehicleID)
 		defer func() {
 			if np != nil {
-				sp.SetAttrInt("appended_days", np.view.Len()-p.view.Len())
+				sp.SetAttrInt("appended_days", np.viewLen()-p.viewLen())
 			}
 			sp.SetError(err)
 			sp.End()
@@ -109,36 +229,33 @@ func (p *Plan) ExtendContext(ctx context.Context, d *etl.VehicleDataset) (np *Pl
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	if d.VehicleID != p.d.VehicleID {
-		return nil, fmt.Errorf("core: extend plan of %s with dataset of %s", p.d.VehicleID, d.VehicleID)
+	if d.VehicleID != p.view.VehicleID {
+		return nil, fmt.Errorf("core: extend plan of %s with dataset of %s", p.view.VehicleID, d.VehicleID)
 	}
-	if d.Len() < p.d.Len() {
-		return nil, fmt.Errorf("core: vehicle %s: series shrank from %d to %d days", d.VehicleID, p.d.Len(), d.Len())
+	if d.Len() < p.days {
+		return nil, fmt.Errorf("core: vehicle %s: series shrank from %d to %d days", d.VehicleID, p.days, d.Len())
 	}
 	// The compiled rows embed the old series; any rewrite of the shared
 	// prefix invalidates them. Hours also decide next-working-day view
 	// membership, so this one check covers both. (Channel prefixes are
 	// spot-checked over the lag window inside AppendDays; the ingest
 	// path appends to a clone and never rewrites history.)
-	if !hoursPrefixEqual(d.Hours, p.d.Hours) {
+	if p.d != nil && !hoursPrefixEqual(d.Hours, p.d.Hours) {
 		return nil, fmt.Errorf("core: vehicle %s: series rewrote history", d.VehicleID)
 	}
 	view, err := scenarioView(d, p.cfg)
 	if err != nil {
 		return nil, err
 	}
-	if view.Len() < p.view.Len() {
-		return nil, fmt.Errorf("core: vehicle %s: scenario view shrank from %d to %d days", d.VehicleID, p.view.Len(), view.Len())
+	if view.Len() < p.viewLen() {
+		return nil, fmt.Errorf("core: vehicle %s: scenario view shrank from %d to %d days", d.VehicleID, p.viewLen(), view.Len())
 	}
-	maxLag := p.cfg.MaxLag
-	if maxLag > view.Len()-1 {
-		maxLag = view.Len() - 1
-	}
-	if maxLag < 1 {
-		maxLag = 1
-	}
+	maxLag := lagBudget(p.cfg, view.Len())
 	if maxLag != p.mat.MaxLag() {
 		return nil, fmt.Errorf("core: vehicle %s: lag budget moved from %d to %d, rebuild required", d.VehicleID, p.mat.MaxLag(), maxLag)
+	}
+	if p.d == nil {
+		return p.extendTail(ctx, d, view, maxLag)
 	}
 	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
 	mat, err := p.mat.AppendDays(view)
@@ -146,8 +263,48 @@ func (p *Plan) ExtendContext(ctx context.Context, d *etl.VehicleDataset) (np *Pl
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{cfg: p.cfg, d: d, view: view, mat: mat}, nil
+	return &Plan{cfg: p.cfg, d: d, view: view, mat: mat, days: d.Len()}, nil
 }
+
+// extendTail is ExtendContext for a forecast plan over the new view.
+// The plan's rows start where they did and grow by the k new view rows
+// through AppendDays, in place while its spare capacity lasts, so a
+// one-day extension costs amortized O(F). Only the last W+MaxLag rows
+// are read; once the rows before them outnumber the window, the last
+// window is copied down into a fresh plan instead, so a forecast plan
+// never holds more than 2×(W+MaxLag) rows.
+func (p *Plan) extendTail(ctx context.Context, d, view *etl.VehicleDataset, maxLag int) (*Plan, error) {
+	end := p.viewLen()
+	if !hoursPrefixEqual(view.Hours[p.off:], p.view.Hours) ||
+		!view.Date(p.off).Equal(p.view.Date(0)) || !view.Date(end-1).Equal(p.view.Date(p.view.Len()-1)) {
+		return nil, fmt.Errorf("core: vehicle %s: series rewrote the forecast window", d.VehicleID)
+	}
+	window := p.cfg.W + p.cfg.MaxLag
+	switch {
+	case view.Len() == end:
+		// No new view rows (idle days under next-working-day): share the
+		// rows, and never the spare capacity past them.
+		np := &Plan{cfg: p.cfg, view: p.view, mat: p.mat, off: p.off, days: d.Len()}
+		np.claimed.Store(true)
+		return np, nil
+	case view.Len()-p.off > 2*window:
+		return compileTail(ctx, p.cfg, view, maxLag, d.Len())
+	}
+	tv, err := appendView(p.view, view, end, p.claimed.CompareAndSwap(false, true))
+	if err != nil {
+		return nil, err
+	}
+	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
+	mat, err := p.mat.AppendDays(tv)
+	featureBuildSeconds.With().ObserveSince(mt)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{cfg: p.cfg, view: tv, mat: mat, off: p.off, days: d.Len()}, nil
+}
+
+// viewLen is the length of the whole scenario view the plan covers.
+func (p *Plan) viewLen() int { return p.off + p.view.Len() }
 
 // hoursPrefixEqual reports whether b is a bitwise prefix of a.
 func hoursPrefixEqual(a, b []float64) bool {
@@ -211,10 +368,12 @@ func clampHours(pred float64) float64 {
 // so the result and any returned error are those of a serial loop.
 // Cancelling ctx does not stop the windows: an evaluation shared by
 // coalesced callers must not fail them when its first caller leaves.
+// A forecast plan holds only the tail of the series, so evaluating it
+// is an error.
 func (p *Plan) EvaluateContext(ctx context.Context) (res *Result, err error) {
 	ctx, sp := trace.Start(ctx, "plan.evaluate")
 	if sp != nil {
-		sp.SetAttr("vehicle", p.d.VehicleID)
+		sp.SetAttr("vehicle", p.view.VehicleID)
 		defer func() {
 			if res != nil {
 				sp.SetAttrInt("predictions", len(res.Predictions))
@@ -245,9 +404,12 @@ type windowScratch struct {
 var windowScratchPool = sync.Pool{New: func() any { return new(windowScratch) }}
 
 func (p *Plan) evaluate(ctx context.Context, sp *trace.Span) (*Result, error) {
+	if p.d == nil {
+		return nil, fmt.Errorf("core: vehicle %s: cannot evaluate a forecast plan over the last %d of %d view days", p.view.VehicleID, p.view.Len(), p.viewLen())
+	}
 	windows, err := timeseries.Enumerate(p.view.Len(), p.cfg.W, p.cfg.Strategy)
 	if err != nil {
-		return nil, fmt.Errorf("core: vehicle %s: %w", p.d.VehicleID, err)
+		return nil, fmt.Errorf("core: vehicle %s: %w", p.view.VehicleID, err)
 	}
 	n := (len(windows) + p.cfg.Stride - 1) / p.cfg.Stride
 	outcomes := make([]windowOutcome, n)
@@ -263,7 +425,7 @@ func (p *Plan) evaluate(ctx context.Context, sp *trace.Span) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{VehicleID: p.d.VehicleID, Algorithm: p.cfg.Algorithm, Scenario: p.cfg.Scenario}
+	res := &Result{VehicleID: p.view.VehicleID, Algorithm: p.cfg.Algorithm, Scenario: p.cfg.Scenario}
 	var preds, actuals []float64
 	for k, o := range outcomes {
 		if o.err != nil {
@@ -285,7 +447,7 @@ func (p *Plan) evaluate(ctx context.Context, sp *trace.Span) (*Result, error) {
 		actuals = append(actuals, p.view.Hours[win.Test])
 	}
 	if len(preds) == 0 {
-		return nil, fmt.Errorf("%w: vehicle %s (%d windows skipped)", ErrNoPredictions, p.d.VehicleID, res.SkippedWindows)
+		return nil, fmt.Errorf("%w: vehicle %s (%d windows skipped)", ErrNoPredictions, p.view.VehicleID, res.SkippedWindows)
 	}
 	if res.PE, err = PE(preds, actuals); err != nil {
 		return nil, err
@@ -324,7 +486,7 @@ func (p *Plan) evaluateWindow(s *windowScratch, win timeseries.Window, wi int) w
 	}
 	pred, err := model.Predict(s.row)
 	if err != nil {
-		return windowOutcome{err: fmt.Errorf("core: vehicle %s window %d: %w", p.d.VehicleID, wi, err)}
+		return windowOutcome{err: fmt.Errorf("core: vehicle %s window %d: %w", p.view.VehicleID, wi, err)}
 	}
 	return windowOutcome{lags: lags, pred: clampHours(pred)}
 }
@@ -350,7 +512,7 @@ type Fitted struct {
 func (p *Plan) FitContext(ctx context.Context) (f *Fitted, err error) {
 	ctx, sp := trace.Start(ctx, "plan.fit")
 	if sp != nil {
-		sp.SetAttr("vehicle", p.d.VehicleID)
+		sp.SetAttr("vehicle", p.view.VehicleID)
 		sp.SetAttr("algorithm", string(p.cfg.Algorithm))
 		defer func() {
 			sp.SetError(err)
@@ -374,7 +536,7 @@ func (p *Plan) FitContext(ctx context.Context) (f *Fitted, err error) {
 		return nil, err
 	}
 	if len(x) < p.cfg.MinTrainRows {
-		return nil, fmt.Errorf("core: vehicle %s: only %d training rows, need %d", p.d.VehicleID, len(x), p.cfg.MinTrainRows)
+		return nil, fmt.Errorf("core: vehicle %s: only %d training rows, need %d", p.view.VehicleID, len(x), p.cfg.MinTrainRows)
 	}
 	model, err := p.cfg.newModel()
 	if err != nil {
@@ -423,7 +585,7 @@ func (f *Fitted) extension(h int) *featsel.Extension {
 	for i, ch := range p.cfg.TargetChannels {
 		ext.Tgts[i] = colFor(ch)
 	}
-	etl.ContextsFrom(p.d.Country, p.view.Date(p.view.Len()-1).AddDate(0, 0, 1), ext.Ctx)
+	etl.ContextsFrom(p.view.Country, p.view.Date(p.view.Len()-1).AddDate(0, 0, 1), ext.Ctx)
 	return ext
 }
 
@@ -451,7 +613,7 @@ func (f *Fitted) override(ext *featsel.Extension, step int, target map[string]fl
 func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64) (pred float64, err error) {
 	_, sp := trace.Start(ctx, "model.predict")
 	if sp != nil {
-		sp.SetAttr("vehicle", f.plan.d.VehicleID)
+		sp.SetAttr("vehicle", f.plan.view.VehicleID)
 		defer func() {
 			sp.SetError(err)
 			sp.End()
@@ -461,7 +623,7 @@ func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64)
 	f.override(ext, 0, target)
 	row := make([]float64, f.plan.mat.RowWidth(f.lags))
 	if !f.plan.mat.ExtendedRow(row, 0, f.lags, ext) {
-		return 0, fmt.Errorf("core: vehicle %s: series too short for lags %v", f.plan.d.VehicleID, f.lags)
+		return 0, fmt.Errorf("core: vehicle %s: series too short for lags %v", f.plan.view.VehicleID, f.lags)
 	}
 	pred, err = f.model.Predict(row)
 	if err != nil {
@@ -481,7 +643,7 @@ func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64)
 func (f *Fitted) HorizonContext(ctx context.Context, h int, targets []map[string]float64) (out []float64, err error) {
 	_, sp := trace.Start(ctx, "model.horizon")
 	if sp != nil {
-		sp.SetAttr("vehicle", f.plan.d.VehicleID)
+		sp.SetAttr("vehicle", f.plan.view.VehicleID)
 		sp.SetAttrInt("steps", h)
 		defer func() {
 			sp.SetError(err)
@@ -503,7 +665,7 @@ func (f *Fitted) horizon(h int, targets []map[string]float64) ([]float64, error)
 			f.override(ext, step, targets[step])
 		}
 		if !f.plan.mat.ExtendedRow(row, step, f.lags, ext) {
-			return nil, fmt.Errorf("core: vehicle %s: series too short for lags %v", f.plan.d.VehicleID, f.lags)
+			return nil, fmt.Errorf("core: vehicle %s: series too short for lags %v", f.plan.view.VehicleID, f.lags)
 		}
 		pred, err := f.model.Predict(row)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"vup/internal/etl"
 	"vup/internal/regress"
 )
 
@@ -65,5 +66,33 @@ func BenchmarkForecastInterval(b *testing.B) {
 		if _, err := ForecastInterval(d, cfg, 0.8); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// compiledPlan keeps BenchmarkForecastCompile's result alive.
+var compiledPlan *Plan
+
+// BenchmarkForecastCompile measures the compilation a cold forecast
+// pays on a study-length (1 369-day) series: the full plan
+// NewPlanContext builds, and the forecast plan NewForecastPlanContext
+// builds over the last W+MaxLag days. Numbers are recorded in
+// BENCH_plan.json.
+func BenchmarkForecastCompile(b *testing.B) {
+	d := testDataset(b, 80, 1369)
+	cfg := benchEvalConfig(regress.AlgLinear)
+	for _, bc := range []struct {
+		name    string
+		compile func(context.Context, *etl.VehicleDataset, Config) (*Plan, error)
+	}{{"full", NewPlanContext}, {"tail", NewForecastPlanContext}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := bc.compile(context.Background(), d, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				compiledPlan = p
+			}
+		})
 	}
 }

@@ -29,6 +29,11 @@ import (
 //
 // The hours series is always included (the paper's pipeline always
 // lags the utilization target itself).
+//
+// Every row is computed from the base columns alone, so materializing
+// a copy of a series' last rows yields rows bit-equal to the whole
+// series' materialization wherever all MaxLag lags lie inside the
+// copy. Forecast plans rely on this (core.NewForecastPlanContext).
 type Materialized struct {
 	maxLag         int
 	channels       []string

@@ -304,12 +304,14 @@ type planSeed struct {
 	plan *core.Plan
 }
 
-// maxPlanSeeds bounds the plan-seed map. Plans hold the materialized
-// lag superset — on the order of the dataset itself — so on a
-// larger-than-RAM lazy fleet the seed map must shed like the store
-// does. Eviction is arbitrary-victim (Go map iteration order), which
-// is cheap and good enough for a warm-tail optimization: a shed seed
-// only costs one plan recompilation.
+// maxPlanSeeds bounds the plan-seed map. A point-forecast seed is a
+// forecast plan, O((W+MaxLag)×features) whatever the series length; an
+// evaluation or interval seed is a full plan holding the dataset and
+// its whole lag superset. Neither is charged to the store's resident
+// budget, so on a larger-than-RAM lazy fleet the seed map must shed
+// like the store does. Eviction is arbitrary-victim (Go map iteration
+// order), which is cheap and good enough for a warm-tail optimization:
+// a shed seed only costs one plan recompilation.
 const maxPlanSeeds = 4096
 
 // loadSeed fetches the plan seed for a key, if present.
@@ -341,9 +343,17 @@ func (a *API) storeSeed(key string, s *planSeed) {
 // when the fingerprint still matches, an extension of it when only the
 // tail grew (the streaming-ingest fast path), and a fresh compilation
 // otherwise — ExtendContext refuses any rewrite of history, so a
-// falsified extension can never serve stale rows.
-func (a *API) planFor(ctx context.Context, d *etl.VehicleDataset, fp uint64, cfg core.Config) (*core.Plan, error) {
+// falsified extension can never serve stale rows. forecast asks for a
+// forecast plan (core.NewForecastPlanContext), which only fits and
+// forecasts; its seeds are keyed apart, so an evaluation never
+// receives one.
+func (a *API) planFor(ctx context.Context, d *etl.VehicleDataset, fp uint64, cfg core.Config, forecast bool) (*core.Plan, error) {
 	key := d.VehicleID + "\x1f" + cfg.Fingerprint()
+	compile := core.NewPlanContext
+	if forecast {
+		key += "\x1fforecast"
+		compile = core.NewForecastPlanContext
+	}
 	if seed, ok := a.loadSeed(key); ok {
 		if seed.fp == fp {
 			return seed.plan, nil
@@ -354,7 +364,7 @@ func (a *API) planFor(ctx context.Context, d *etl.VehicleDataset, fp uint64, cfg
 			return np, nil
 		}
 	}
-	p, err := core.NewPlanContext(ctx, d, cfg)
+	p, err := compile(ctx, d, cfg)
 	if err != nil {
 		return nil, err
 	}

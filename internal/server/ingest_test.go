@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"vup/internal/canbus"
+	"vup/internal/core"
 	"vup/internal/etl"
 	"vup/internal/fstore"
 	"vup/internal/obs"
@@ -115,6 +117,7 @@ func TestIngestEndToEnd(t *testing.T) {
 	daysBefore := counterValue(t, "ingest_days_appended_total")
 	lagBefore, _ := obs.FindSample(obs.Default.Gather(), "ingest_to_visible_seconds")
 	extBefore := counterValue(t, "forecast_plan_extended_total")
+	rebBefore := counterValue(t, "forecast_plan_rebuilt_total")
 
 	var ing ingestResponse
 	postJSON(t, srv.URL+"/v1/vehicles/"+idA+"/ingest", ingestRequest{Reports: reports}, 200, &ing)
@@ -145,8 +148,11 @@ func TestIngestEndToEnd(t *testing.T) {
 		t.Error("forecast of A served a stale cached artifact after ingest")
 	}
 	// ...by extending the compiled plan, not recompiling it.
-	if got := counterValue(t, "forecast_plan_extended_total"); got < extBefore+1 {
-		t.Errorf("forecast_plan_extended_total = %v, want >= %v: append did not reuse the compiled plan", got, extBefore+1)
+	if got := counterValue(t, "forecast_plan_extended_total"); got != extBefore+1 {
+		t.Errorf("forecast_plan_extended_total = %v, want %v: append did not reuse the compiled plan", got, extBefore+1)
+	}
+	if got := counterValue(t, "forecast_plan_rebuilt_total"); got != rebBefore {
+		t.Errorf("forecast_plan_rebuilt_total = %v, want %v: the post-ingest forecast recompiled", got, rebBefore)
 	}
 	// ...while B's artifact — a different vehicle, untouched generation —
 	// keeps hitting.
@@ -196,6 +202,133 @@ func TestIngestEndToEnd(t *testing.T) {
 	if !found {
 		t.Fatalf("vehicle %q missing after restart", idA)
 	}
+}
+
+// TestForecastPlanCounts pins the plan decisions of an ingest-heavy
+// vehicle: its first forecast compiles one plan, and every forecast
+// after a one-day ingest extends it exactly once — also across the
+// rounds where the forecast plan copies its window down.
+func TestForecastPlanCounts(t *testing.T) {
+	datasets := persistDatasets(t)
+	store, err := NewStore(datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := New(store, persistConfig())
+	api.Cache = NewForecastCache(16)
+	srv := httptest.NewServer(api.Handler())
+	defer srv.Close()
+
+	d := datasets[0]
+	// W=20 and MaxLag=21: the forecast plan copies its 41-row window
+	// down once more than 41 days were appended.
+	url := srv.URL + "/v1/vehicles/" + d.VehicleID + "/forecast?w=20"
+	const rounds = 50
+	ext0 := counterValue(t, "forecast_plan_extended_total")
+	reb0 := counterValue(t, "forecast_plan_rebuilt_total")
+	var fc forecastResponse
+	get(t, url, 200, &fc)
+	for i := 1; i <= rounds; i++ {
+		var ing ingestResponse
+		day := d.Date(d.Len()-1).AddDate(0, 0, i)
+		postJSON(t, srv.URL+"/v1/vehicles/"+d.VehicleID+"/ingest", ingestRequest{Reports: dayReports(d, day, 10)}, 200, &ing)
+		if ing.DaysAppended != 1 {
+			t.Fatalf("round %d: days_appended = %d, want 1", i, ing.DaysAppended)
+		}
+		fc = forecastResponse{}
+		get(t, url, 200, &fc)
+		if fc.Cached {
+			t.Fatalf("round %d: post-ingest forecast served from the cache", i)
+		}
+		var hit forecastResponse
+		get(t, url, 200, &hit) // a cache hit: no plan decision at all
+		if !hit.Cached {
+			t.Fatalf("round %d: repeated forecast missed the cache", i)
+		}
+	}
+	if got := counterValue(t, "forecast_plan_rebuilt_total") - reb0; got != 1 {
+		t.Errorf("%v plan rebuilds, want 1", got)
+	}
+	if got := counterValue(t, "forecast_plan_extended_total") - ext0; got != rounds {
+		t.Errorf("%v plan extensions, want one per post-ingest forecast (%d)", got, rounds)
+	}
+	grown, _ := store.Get(d.VehicleID)
+	want, _, err := core.Forecast(grown, fcConfig(t, api, "w=20"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc.Hours != want {
+		t.Errorf("forecast after %d extensions = %v, want %v", rounds, fc.Hours, want)
+	}
+}
+
+// TestEvaluationBesideForecastPlan interleaves evaluations and
+// forecasts of one vehicle and config across an ingest: the forecast's
+// plan is a forecast plan, so the evaluation must compile and extend
+// its own full plan, and still equal a fresh evaluation.
+func TestEvaluationBesideForecastPlan(t *testing.T) {
+	datasets := persistDatasets(t)
+	store, err := NewStore(datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := New(store, persistConfig())
+	api.Cache = NewForecastCache(16)
+	srv := httptest.NewServer(api.Handler())
+	defer srv.Close()
+
+	d := datasets[0]
+	base := srv.URL + "/v1/vehicles/" + d.VehicleID
+	ext0 := counterValue(t, "forecast_plan_extended_total")
+	reb0 := counterValue(t, "forecast_plan_rebuilt_total")
+	check := func(stage string) {
+		t.Helper()
+		var ev evaluationResponse
+		get(t, base+"/evaluation", 200, &ev)
+		var fc forecastResponse
+		get(t, base+"/forecast", 200, &fc)
+		cur, _ := store.Get(d.VehicleID)
+		want, err := core.EvaluateVehicleContext(context.Background(), cur, api.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.PE != want.PE || ev.MAE != want.MAE || ev.Predictions != len(want.Predictions) || ev.Skipped != want.SkippedWindows {
+			t.Errorf("%s: evaluation %+v, want PE %v MAE %v predictions %d skipped %d",
+				stage, ev, want.PE, want.MAE, len(want.Predictions), want.SkippedWindows)
+		}
+		wantHours, _, err := core.Forecast(cur, api.Base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fc.Hours != wantHours {
+			t.Errorf("%s: forecast %v, want %v", stage, fc.Hours, wantHours)
+		}
+	}
+	// Forecast first, so a shared seed would hand the evaluation a
+	// forecast plan.
+	var fc forecastResponse
+	get(t, base+"/forecast", 200, &fc)
+	check("before ingest")
+	day := d.Date(d.Len()-1).AddDate(0, 0, 1)
+	postJSON(t, base+"/ingest", ingestRequest{Reports: dayReports(d, day, 10)}, 200, nil)
+	check("after ingest")
+	if got := counterValue(t, "forecast_plan_rebuilt_total") - reb0; got != 2 {
+		t.Errorf("%v plan rebuilds, want 2: one forecast plan, one full plan", got)
+	}
+	if got := counterValue(t, "forecast_plan_extended_total") - ext0; got != 2 {
+		t.Errorf("%v plan extensions, want 2: each plan once after the ingest", got)
+	}
+}
+
+// fcConfig is the config the API derives from a query string.
+func fcConfig(t *testing.T, api *API, query string) core.Config {
+	t.Helper()
+	r := httptest.NewRequest("GET", "/?"+query, nil)
+	cfg, err := api.configFromQuery(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestIngestRejections: malformed batches are 4xx, individually bad

@@ -15,13 +15,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"vup/internal/etl"
+	"vup/internal/featsel"
+	"vup/internal/fleet"
 	"vup/internal/fstore"
+	"vup/internal/randx"
 )
 
 // lazyFixture saves datasets into a fresh fstore directory and returns
@@ -606,4 +610,77 @@ func corruptSnapshot(t *testing.T, dirPath, vehicleID string) {
 	if err := os.WriteFile(path, full[:len(full)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestForecastSeedsStayBounded: forecasting every vehicle of a lazy
+// study-length fleet once, under a two-vehicle budget and with no
+// forecast cache, must not leave a full-length plan per vehicle alive.
+// The plan seed a point forecast leaves is a forecast plan over the
+// last W+MaxLag days, so the live heap grows by well under a quarter
+// of one full-length materialization per vehicle.
+func TestForecastSeedsStayBounded(t *testing.T) {
+	const vehicles, days = 24, 1369
+	f, err := fleet.Generate(fleet.Config{Units: 1, Days: days, Seed: 7, Start: fleet.StudyStart})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := f.Units[0]
+	src, err := etl.FromUsage(u, f.SimulateAll()[u.Vehicle.ID], randx.New(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]*etl.VehicleDataset, vehicles)
+	ids := make([]string, 0, vehicles)
+	for i := range vehicles {
+		d := src.Clone()
+		d.VehicleID = fmt.Sprintf("veh-%04d", i)
+		byID[d.VehicleID] = d
+		ids = append(ids, d.VehicleID)
+	}
+	loader := func(id string) (*etl.VehicleDataset, error) { return byID[id].Clone(), nil }
+	store, err := NewLazyStore(ids, loader, 2*src.SizeBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := persistConfig()
+	api := New(store, cfg)
+	api.Cache = NewForecastCache(0)
+	h := api.Handler()
+
+	mat, err := featsel.MaterializeContext(context.Background(), src, cfg.MaxLag, cfg.Channels, cfg.IncludeContext, cfg.TargetChannels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allLags := make([]int, cfg.MaxLag)
+	for i := range allLags {
+		allLags[i] = i + 1
+	}
+	fullBytes := int64(days * mat.RowWidth(allLags) * 8)
+
+	forecast := func(id string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/vehicles/"+id+"/forecast", nil))
+		if rec.Code != 200 {
+			t.Fatalf("forecast %s: status %d: %s", id, rec.Code, rec.Body)
+		}
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// The first forecast pays the one-time allocations (metrics,
+	// pools); measure the rest.
+	forecast(ids[0])
+	before := heap()
+	for _, id := range ids[1:] {
+		forecast(id)
+	}
+	grew := (heap() - before) / int64(len(ids)-1)
+	runtime.KeepAlive(api)
+	if grew >= fullBytes/4 {
+		t.Fatalf("live heap grew %d B per forecast vehicle, want < %d B (a quarter of one %d-day materialization)", grew, fullBytes/4, days)
+	}
+	t.Logf("live heap grew %d B per vehicle; one full materialization is %d B", grew, fullBytes)
 }

@@ -416,8 +416,9 @@ type API struct {
 
 	// ingestSem is the ingest concurrency gate, sized by Handler.
 	ingestSem chan struct{}
-	// seeds holds the last compiled plan per vehicle+config so a build
-	// after an append can extend it instead of recompiling (planFor).
+	// seeds holds the last compiled plan per vehicle+config+plan kind
+	// so a build after an append can extend it instead of recompiling
+	// (planFor).
 	// Bounded at maxPlanSeeds: on a lazy store the fleet can be far
 	// larger than RAM, and an unbounded seed map would quietly undo
 	// the resident-bytes budget.
@@ -746,7 +747,7 @@ func (a *API) handleForecast(w http.ResponseWriter, r *http.Request) {
 		}
 		kind := "interval:" + strconv.FormatFloat(level, 'g', -1, 64)
 		val, cached, err := a.Cache.DoContext(r.Context(), cacheKey(kind, d.VehicleID, fp, cfg), gen, func(ctx context.Context) (any, error) {
-			p, err := a.planFor(ctx, d, fp, cfg)
+			p, err := a.planFor(ctx, d, fp, cfg, false)
 			if err != nil {
 				return nil, err
 			}
@@ -763,7 +764,7 @@ func (a *API) handleForecast(w http.ResponseWriter, r *http.Request) {
 		resp.Cached = cached
 	} else {
 		val, cached, err := a.Cache.DoContext(r.Context(), cacheKey("point", d.VehicleID, fp, cfg), gen, func(ctx context.Context) (any, error) {
-			p, err := a.planFor(ctx, d, fp, cfg)
+			p, err := a.planFor(ctx, d, fp, cfg, true)
 			if err != nil {
 				return nil, err
 			}
@@ -874,7 +875,7 @@ func (a *API) handleEvaluation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	val, cached, err := a.Cache.DoContext(r.Context(), cacheKey("eval", d.VehicleID, fp, cfg), gen, func(ctx context.Context) (any, error) {
-		p, err := a.planFor(ctx, d, fp, cfg)
+		p, err := a.planFor(ctx, d, fp, cfg, false)
 		if err != nil {
 			return nil, err
 		}
