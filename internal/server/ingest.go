@@ -13,11 +13,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"time"
 
 	"vup/internal/canbus"
@@ -68,26 +66,6 @@ const defaultIngestConcurrency = 4
 // through a full snapshot load, not the incremental log.
 const maxIngestDays = 120
 
-// ingestChannel mirrors canbus.ChannelStats on the wire.
-type ingestChannel struct {
-	Samples int     `json:"samples"`
-	Mean    float64 `json:"mean"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-}
-
-// ingestReport is one raw 10-minute report as uploaded by a device.
-type ingestReport struct {
-	Start           time.Time                `json:"start"`
-	EngineOnSeconds float64                  `json:"engine_on_seconds"`
-	Channels        map[string]ingestChannel `json:"channels"`
-}
-
-// ingestRequest is the POST body: a batch of reports for one vehicle.
-type ingestRequest struct {
-	Reports []ingestReport `json:"reports"`
-}
-
 // ingestResponse reports what happened to the batch. Rejected reports
 // are counted by reason; the batch as a whole still succeeds as long
 // as it is well-formed — a replayed device buffer legitimately
@@ -118,18 +96,12 @@ func (a *API) ingestGate() chan struct{} {
 func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.PathValue("id")
-	d, _, _, release, err := a.store.Acquire(r.Context(), id)
-	if err != nil {
-		writeAcquireError(w, id, err)
-		return
-	}
-	// Pin the dataset for the whole ingest: the summarize step below
-	// reads its tail, and an eviction between summarize and
-	// AppendContext would force a redundant reload.
-	defer release()
 
 	// Backpressure: every admitted batch ends in an fsync, so refuse
 	// early — with a hint — rather than queue unboundedly on the disk.
+	// The gate comes before Acquire, so a shed batch never faults its
+	// vehicle in (and evicts another) on a lazy store; under overload an
+	// unknown vehicle gets the 503 too.
 	sem := a.ingestGate()
 	select {
 	case sem <- struct{}{}:
@@ -142,23 +114,34 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	d, _, _, release, err := a.store.Acquire(r.Context(), id)
+	if err != nil {
+		writeAcquireError(w, id, err)
+		return
+	}
+	// Pin the dataset for the whole ingest: the decode and summarize
+	// steps below read its channel set and tail, and an eviction before
+	// AppendContext would force a redundant reload.
+	defer release()
+
 	ctx, sp := trace.Start(r.Context(), "ingest.decode")
-	var req ingestRequest
-	err = json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&req)
+	batch, err := decodeIngest(http.MaxBytesReader(w, r.Body, maxIngestBody), d)
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad ingest body: %v", err)
 		return
 	}
-	if len(req.Reports) == 0 {
+	if batch.n == 0 {
+		batch.release()
 		writeError(w, http.StatusBadRequest, "ingest body has no reports")
 		return
 	}
 
 	ctx, sp = trace.Start(ctx, "ingest.summarize")
-	sp.SetAttrInt("reports", len(req.Reports))
-	days, accepted, reasons := summarizeReports(d, req.Reports)
+	sp.SetAttrInt("reports", batch.n)
+	days, span, accepted, reasons := summarizeReports(d, batch)
+	batch.release()
 	sp.SetAttrInt("days", len(days))
 	sp.End()
 
@@ -170,9 +153,9 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	ingestAccepted.With().Add(uint64(accepted))
 
 	resp := ingestResponse{Vehicle: id, Accepted: accepted, Rejected: rejected, Reasons: reasons}
-	if len(days) > maxIngestDays {
+	if span > maxIngestDays {
 		writeError(w, http.StatusUnprocessableEntity,
-			"batch spans %d days, limit %d: reload the vehicle from a snapshot instead", len(days), maxIngestDays)
+			"batch spans %d days, limit %d: reload the vehicle from a snapshot instead", span, maxIngestDays)
 		return
 	}
 	if len(days) > 0 {
@@ -204,95 +187,101 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// summarizeReports folds raw reports into whole summarized days ready
-// for Store.AppendContext, mirroring the offline etl.FromReports
+// dayAcc accumulates one appended day's reports.
+type dayAcc struct {
+	hours    float64
+	observed bool
+}
+
+// summarizeReports folds a decoded batch into whole summarized days
+// ready for Store.AppendContext, mirroring the offline etl.FromReports
 // aggregation: daily hours are summed engine-on time, channel values are
 // sample-weighted means, channels outside the dataset's feature set
-// are ignored. Only days strictly after the stored series qualify —
-// reports for days the server already holds are rejected as "stale"
-// (history is immutable; see Plan.ExtendContext). The returned slice
-// is contiguous from the day after the stored series to the newest
-// reported day: days without any report are emitted unobserved, so the
-// date grid stays implicit (dense) and Clean repairs them with the
-// configured policy.
-func summarizeReports(d *etl.VehicleDataset, reports []ingestReport) (days []fstore.Day, accepted int, reasons map[string]int) {
+// were dropped at decode. Only days strictly after the stored series
+// qualify — reports for days the server already holds are rejected as
+// "stale" (history is immutable; see Plan.ExtendContext). The returned
+// slice is contiguous from the day after the stored series to the
+// newest reported day: days without any report are emitted unobserved,
+// so the date grid stays implicit (dense) and Clean repairs them with
+// the configured policy. span counts those days; a span over
+// maxIngestDays returns no days at all, so a far-future report costs
+// nothing to refuse. Reports are folded in batch order, so every sum
+// is the same float64 whatever the wire's channel order.
+func summarizeReports(d *etl.VehicleDataset, b *ingestBatch) (days []fstore.Day, span, accepted int, reasons map[string]int) {
 	reasons = make(map[string]int)
-	reject := func(reason string) { reasons[reason]++ }
 	last := d.Date(d.Len() - 1)
+	reports := b.reports[:b.n]
 
-	type acc struct {
-		hours    float64
-		observed bool
-		sums     map[string]float64
-		weights  map[string]float64
-	}
-	byDate := make(map[time.Time]*acc)
-	var maxDate time.Time
+	// Classify every report and find the newest day first. dayOf holds a
+	// report's day, 1 for the day after last, or 0 when it is rejected.
+	dayOf := b.dayOf[:0]
 	for _, r := range reports {
-		if r.Start.IsZero() {
-			reject("missing_start")
-			continue
+		k := 0
+		date := r.start.UTC().Truncate(24 * time.Hour)
+		switch {
+		case r.start.IsZero():
+			reasons["missing_start"]++
+		case r.engineOn < 0 || r.engineOn > canbus.ReportInterval.Seconds():
+			reasons["invalid_engine_on"]++ // decoded numbers are finite
+		case !date.After(last):
+			reasons["stale"]++
+		default:
+			// Sub saturates, so a date centuries ahead still reads as
+			// far beyond the limit.
+			k = max(int(date.Sub(last)/(24*time.Hour)), 1)
+			span = max(span, k)
+			accepted++
 		}
-		if r.EngineOnSeconds < 0 || r.EngineOnSeconds > canbus.ReportInterval.Seconds() ||
-			math.IsNaN(r.EngineOnSeconds) || math.IsInf(r.EngineOnSeconds, 0) {
-			reject("invalid_engine_on")
-			continue
-		}
-		date := r.Start.UTC().Truncate(24 * time.Hour)
-		if !date.After(last) {
-			reject("stale")
-			continue
-		}
-		a, ok := byDate[date]
-		if !ok {
-			a = &acc{sums: make(map[string]float64), weights: make(map[string]float64)}
-			byDate[date] = a
-		}
-		a.observed = true
-		a.hours += r.EngineOnSeconds / 3600
-		for name, cs := range r.Channels {
-			if _, ok := d.Channels[name]; !ok {
-				continue // channel outside the study's feature set
-			}
-			if cs.Samples <= 0 || math.IsNaN(cs.Mean) || math.IsInf(cs.Mean, 0) {
-				continue
-			}
-			a.sums[name] += cs.Mean * float64(cs.Samples)
-			a.weights[name] += float64(cs.Samples)
-		}
-		accepted++
-		if date.After(maxDate) {
-			maxDate = date
-		}
+		dayOf = append(dayOf, k)
 	}
-	if len(byDate) == 0 {
-		return nil, accepted, reasons
+	b.dayOf = dayOf
+	if span == 0 || span > maxIngestDays {
+		return nil, span, accepted, reasons
 	}
 
-	// Channel names once, sorted, for deterministic map construction.
-	names := make([]string, 0, len(d.Channels))
-	for name := range d.Channels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	for date := last.AddDate(0, 0, 1); !date.After(maxDate); date = date.AddDate(0, 0, 1) {
-		day := fstore.Day{Date: date, Channels: make(map[string]float64, len(names))}
-		for _, name := range names {
-			day.Channels[name] = 0
+	n := len(b.names)
+	accs := slices.Grow(b.accs[:0], span)[:span]
+	clear(accs)
+	// sums holds, per day, the n weighted sums and then the n weights.
+	sums := slices.Grow(b.sums[:0], 2*n*span)[:2*n*span]
+	clear(sums)
+	b.accs, b.sums = accs, sums
+	for i, r := range reports {
+		k := dayOf[i]
+		if k == 0 {
+			continue
 		}
-		if a, ok := byDate[date]; ok {
-			day.Observed = true
-			day.Hours = a.hours
-			for _, name := range names {
-				if w := a.weights[name]; w > 0 {
-					day.Channels[name] = a.sums[name] / w
-				}
+		acc := &accs[k-1]
+		acc.observed = true
+		acc.hours += r.engineOn / 3600
+		if r.chans < 0 {
+			continue
+		}
+		ds := sums[2*n*(k-1) : 2*n*k]
+		for j, ch := range b.chans[r.chans : r.chans+n] {
+			if ch.samples > 0 {
+				ds[j] += ch.mean * float64(ch.samples)
+				ds[n+j] += float64(ch.samples)
 			}
 		}
-		days = append(days, day)
 	}
-	return days, accepted, reasons
+
+	days = make([]fstore.Day, span)
+	date := last
+	for k := range days {
+		date = date.AddDate(0, 0, 1)
+		ds := sums[2*n*k : 2*n*(k+1)]
+		day := fstore.Day{Date: date, Hours: accs[k].hours, Observed: accs[k].observed, Channels: make(map[string]float64, n)}
+		for j, name := range b.names {
+			v := 0.0
+			if w := ds[n+j]; w > 0 {
+				v = ds[j] / w
+			}
+			day.Channels[name] = v
+		}
+		days[k] = day
+	}
+	return days, span, accepted, reasons
 }
 
 // planSeed is the last compiled plan for one vehicle+config, kept so

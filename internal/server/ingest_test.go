@@ -9,8 +9,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"testing"
 	"time"
 
@@ -20,6 +23,110 @@ import (
 	"vup/internal/fstore"
 	"vup/internal/obs"
 )
+
+// ingestChannel, ingestReport and ingestRequest are the ingest wire
+// format as encoding/json structs: the shape clients marshal, and what
+// refDecodeIngest decodes into.
+type ingestChannel struct {
+	Samples int     `json:"samples"`
+	Mean    float64 `json:"mean"`
+	Min     float64 `json:"min"`
+	Max     float64 `json:"max"`
+}
+
+type ingestReport struct {
+	Start           time.Time                `json:"start"`
+	EngineOnSeconds float64                  `json:"engine_on_seconds"`
+	Channels        map[string]ingestChannel `json:"channels"`
+}
+
+type ingestRequest struct {
+	Reports []ingestReport `json:"reports"`
+}
+
+// refDecodeIngest is the reference decoder the scanner must agree
+// with: encoding/json's Decoder over the body under the same cap.
+func refDecodeIngest(body io.Reader) ([]ingestReport, error) {
+	var req ingestRequest
+	err := json.NewDecoder(http.MaxBytesReader(nil, io.NopCloser(body), maxIngestBody)).Decode(&req)
+	return req.Reports, err
+}
+
+// refSummarize is summarizeReports over per-report channel maps, the
+// fold the scanner's interned slots replaced; like summarizeReports it
+// measures the span before building any day.
+func refSummarize(d *etl.VehicleDataset, reports []ingestReport) (days []fstore.Day, span, accepted int, reasons map[string]int) {
+	reasons = make(map[string]int)
+	last := d.Date(d.Len() - 1)
+	type acc struct {
+		hours         float64
+		sums, weights map[string]float64
+	}
+	byDate := make(map[time.Time]*acc)
+	var maxDate time.Time
+	for _, r := range reports {
+		if r.Start.IsZero() {
+			reasons["missing_start"]++
+			continue
+		}
+		if r.EngineOnSeconds < 0 || r.EngineOnSeconds > canbus.ReportInterval.Seconds() ||
+			math.IsNaN(r.EngineOnSeconds) || math.IsInf(r.EngineOnSeconds, 0) {
+			reasons["invalid_engine_on"]++
+			continue
+		}
+		date := r.Start.UTC().Truncate(24 * time.Hour)
+		if !date.After(last) {
+			reasons["stale"]++
+			continue
+		}
+		a, ok := byDate[date]
+		if !ok {
+			a = &acc{sums: make(map[string]float64), weights: make(map[string]float64)}
+			byDate[date] = a
+		}
+		a.hours += r.EngineOnSeconds / 3600
+		for name, cs := range r.Channels {
+			if _, ok := d.Channels[name]; !ok || cs.Samples <= 0 || math.IsNaN(cs.Mean) || math.IsInf(cs.Mean, 0) {
+				continue
+			}
+			a.sums[name] += cs.Mean * float64(cs.Samples)
+			a.weights[name] += float64(cs.Samples)
+		}
+		accepted++
+		if date.After(maxDate) {
+			maxDate = date
+		}
+	}
+	if len(byDate) == 0 {
+		return nil, 0, accepted, reasons
+	}
+	span = int(maxDate.Sub(last) / (24 * time.Hour))
+	if span > maxIngestDays {
+		return nil, span, accepted, reasons
+	}
+	names := make([]string, 0, len(d.Channels))
+	for name := range d.Channels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for date := last.AddDate(0, 0, 1); !date.After(maxDate); date = date.AddDate(0, 0, 1) {
+		day := fstore.Day{Date: date, Channels: make(map[string]float64, len(names))}
+		for _, name := range names {
+			day.Channels[name] = 0
+		}
+		if a, ok := byDate[date]; ok {
+			day.Observed = true
+			day.Hours = a.hours
+			for _, name := range names {
+				if w := a.weights[name]; w > 0 {
+					day.Channels[name] = a.sums[name] / w
+				}
+			}
+		}
+		days = append(days, day)
+	}
+	return days, span, accepted, reasons
+}
 
 func postJSON(t *testing.T, url string, body any, wantStatus int, into any) *http.Response {
 	t.Helper()
@@ -433,6 +540,90 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 }
 
+// TestIngestFarFutureGapRefusedUpFront: a report dated years ahead is
+// refused with 422 before any gap day is built, so refusing it costs
+// a few allocations, not one per day of the gap.
+func TestIngestFarFutureGapRefusedUpFront(t *testing.T) {
+	datasets := persistDatasets(t)
+	store, err := NewStore(datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(store, persistConfig()).Handler()
+	d := datasets[0]
+	far := d.Date(d.Len()-1).AddDate(5, 0, 0) // 1 827 days ahead
+	raw, err := json.Marshal(ingestRequest{Reports: dayReports(d, far, 10)[:1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/vehicles/"+d.VehicleID+"/ingest", bytes.NewReader(raw))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	if code := post(); code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", code)
+	}
+	// Building the gap took at least one map per day (1 827 days).
+	if allocs := testing.AllocsPerRun(5, func() { post() }); allocs > 300 {
+		t.Errorf("refusing a 5-year gap allocated %.0f times per request, want <= 300", allocs)
+	}
+	if cur, _ := store.Get(d.VehicleID); cur.Len() != d.Len() {
+		t.Error("refused batch still appended days")
+	}
+}
+
+// TestIngestShedsBeforeAcquire: with the gate full, a batch for a cold
+// vehicle of a lazy store is shed without faulting that vehicle in, so
+// it evicts nothing either; an unknown vehicle is shed the same way.
+func TestIngestShedsBeforeAcquire(t *testing.T) {
+	datasets := persistDatasets(t)
+	budget := datasets[0].SizeBytes() + 1 // one resident vehicle at a time
+	_, store, loads := lazyFixture(t, datasets, budget)
+	api := New(store, persistConfig())
+	api.IngestConcurrency = 1
+	h := api.Handler()
+
+	// Make vehicle 0 resident; vehicle 1 stays cold.
+	_, _, _, release, err := store.Acquire(context.Background(), datasets[0].VehicleID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	api.ingestGate() <- struct{}{} // occupy the only slot
+	defer func() { <-api.ingestGate() }()
+
+	loads0 := loads.Load()
+	evictions0 := counterValue(t, "fstore_evictions_total")
+	resident0, bytes0 := store.ResidentStats()
+	d := datasets[1]
+	raw, err := json.Marshal(ingestRequest{Reports: dayReports(d, d.Date(d.Len()-1).AddDate(0, 0, 1), 10)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(id string) {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/vehicles/"+id+"/ingest", bytes.NewReader(raw))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want 503", id, rec.Code)
+		}
+	}
+	post(d.VehicleID)
+	if got := loads.Load(); got != loads0 {
+		t.Errorf("the shed batch caused %d loads", got-loads0)
+	}
+	if got := counterValue(t, "fstore_evictions_total"); got != evictions0 {
+		t.Errorf("the shed batch caused %v evictions", got-evictions0)
+	}
+	if resident, bytes := store.ResidentStats(); resident != resident0 || bytes != bytes0 {
+		t.Errorf("resident set moved from %d vehicles/%d B to %d/%d B", resident0, bytes0, resident, bytes)
+	}
+	post("veh-nope") // shed before the lookup that would 404
+}
+
 // BenchmarkIngestToVisible measures the tentpole's serving-side
 // number: wall time from a one-day report batch hitting the handler to
 // the appended day being forecast-visible, with real append-log fsync
@@ -452,14 +643,18 @@ func BenchmarkIngestToVisible(b *testing.B) {
 	id := "veh-0000"
 	d, _ := api.store.Get(id)
 	date := d.Date(d.Len() - 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	bodies := make([][]byte, b.N)
+	for i := range bodies {
 		date = date.AddDate(0, 0, 1)
 		raw, err := json.Marshal(ingestRequest{Reports: dayReports(d, date, 12.5)})
 		if err != nil {
 			b.Fatal(err)
 		}
+		bodies[i] = raw
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, raw := range bodies {
 		req := httptest.NewRequest(http.MethodPost, "/v1/vehicles/"+id+"/ingest", bytes.NewReader(raw))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)

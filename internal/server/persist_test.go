@@ -22,7 +22,7 @@ import (
 	"vup/internal/regress"
 )
 
-func persistDatasets(t *testing.T) []*etl.VehicleDataset {
+func persistDatasets(t testing.TB) []*etl.VehicleDataset {
 	t.Helper()
 	f, err := fleet.Generate(fleet.Config{Units: 2, Days: 400, Seed: 5, Start: fleet.StudyStart})
 	if err != nil {
