@@ -8,8 +8,8 @@
 //	vup-experiments -run fig5a           # one experiment
 //	vup-experiments -scale full -csv out # study scale, CSVs into out/
 //	vup-experiments -list                # list experiment IDs
-//	vup-experiments -run fig5a -timing   # append the per-algorithm stage
-//	                                     # timing table (Section 4.5, live)
+//	vup-experiments -run timing          # Section 4.5 per-algorithm
+//	                                     # training times
 //	vup-experiments -workers 1           # one vehicle at a time (byte-
 //	                                     # identical report)
 //	vup-experiments -run fig5a -trace    # per-experiment span waterfall on
@@ -49,7 +49,6 @@ func main() {
 		mdPath   = flag.String("md", "", "write a combined Markdown report to this path (optional)")
 		list     = flag.Bool("list", false, "list experiment ids and exit")
 		seed     = flag.Int64("seed", 1, "generation seed")
-		timing   = flag.Bool("timing", false, "print the collected pipeline stage timings after the run (live Section 4.5 table)")
 		workers  = flag.Int("workers", 0, "worker-pool size for the parallel sweeps (<=0: GOMAXPROCS; 1: one vehicle at a time, its windows still fan out). Reports are byte-identical at any setting")
 		traced   = flag.Bool("trace", false, "trace each experiment and print its span waterfall to stderr (stdout stays byte-identical)")
 		storeDir = flag.String("store-dir", "", "save the evaluation fleet as a binary store directory (internal/fstore) before running, so a vup-server can serve the exact datasets the figures used")
@@ -115,10 +114,8 @@ func main() {
 		rep, err := experiments.RunContext(ctx, id, cfg)
 		root.SetError(err)
 		root.End()
-		if collector != nil {
-			if td, ok := collector.Get(root.TraceID()); ok {
-				_, _ = fmt.Fprint(os.Stderr, trace.Waterfall(td))
-			}
+		if td, ok := collector.Get(root.TraceID()); ok {
+			_, _ = fmt.Fprint(os.Stderr, trace.Waterfall(td))
 		}
 		if err != nil {
 			log.Fatalf("%s: %v", id, err)
@@ -131,19 +128,6 @@ func main() {
 		if *csvDir != "" {
 			if err := writeCSVs(*csvDir, rep); err != nil {
 				log.Fatalf("%s: %v", id, err)
-			}
-		}
-		if *mdPath != "" {
-			md.WriteString(rep.RenderMarkdown())
-			md.WriteString("\n")
-		}
-	}
-	if *timing {
-		rep := experiments.StageTimings()
-		fmt.Println(rep.Render())
-		if *csvDir != "" {
-			if err := writeCSVs(*csvDir, rep); err != nil {
-				log.Fatalf("%s: %v", rep.ID, err)
 			}
 		}
 		if *mdPath != "" {

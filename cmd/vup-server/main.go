@@ -55,8 +55,9 @@
 // Every API request runs under a root trace span whose ID is echoed in
 // the X-Trace-Id response header; completed traces pass a tail sampler
 // (errors and slow requests always kept, the rest at -trace-sample) and
-// land in a bounded ring buffer. -trace-buffer 0 disables tracing, at
-// which point the span API is an allocation-free no-op.
+// land in a bounded ring buffer. Every span, traced or not, times
+// itself into span_seconds{name} on GET /metrics. -trace-buffer 0
+// disables trace storage; spans still time, without allocating.
 //
 // With -debug-addr set, a second listener serves Go runtime
 // diagnostics (opt-in, keep it off public interfaces):
@@ -102,7 +103,7 @@ func main() {
 		compactEvery   = flag.Int("compact-threshold", 64, "with -data-dir: fold a vehicle's append-log backlog into its snapshot once it reaches this many records; 0 disables compaction")
 		ingestPolicy   = flag.String("ingest-policy", "forward-fill", "missing-day repair for ingested gap days: zero, forward-fill or interpolate")
 		ingestConc     = flag.Int("ingest-concurrency", 4, "concurrent ingest batches admitted before shedding with 503")
-		traceBuffer    = flag.Int("trace-buffer", 256, "stored-trace ring buffer capacity behind /debug/traces; 0 disables tracing")
+		traceBuffer    = flag.Int("trace-buffer", 256, "stored-trace ring buffer capacity behind /debug/traces; 0 disables trace storage (spans still time into span_seconds)")
 		traceSample    = flag.Float64("trace-sample", 0.1, "tail-sampling keep probability for fast, clean traces (errors and slow requests are always kept; >=1 keeps everything)")
 		traceSlow      = flag.Duration("trace-slow", 100*time.Millisecond, "root latency at or above which a trace is always kept")
 		verbose        = flag.Bool("v", false, "log at debug level")

@@ -183,18 +183,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// newModel builds a fresh regressor for the configuration, wrapped so
-// its fit and predict durations land in the pipeline stage histograms.
+// newModel builds a fresh regressor for the configuration.
 func (c Config) newModel() (regress.Regressor, error) {
-	var m regress.Regressor
-	var err error
 	if c.ModelFactory != nil {
-		m, err = c.ModelFactory()
-	} else {
-		m, err = regress.New(c.Algorithm)
+		return c.ModelFactory()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return regress.Instrument(m, observeStage), nil
+	return regress.New(c.Algorithm)
 }

@@ -25,7 +25,8 @@
 // and [Fitted.HorizonContext] predict phantom next days — the horizon
 // mutates one reusable extension in place, feeding each prediction
 // back as lag input for the following step. Every step takes a
-// context; an active trace span in it records the step as a child.
+// context and runs under a span of [vup/internal/obs/trace]: an active
+// trace in the context records the step as a child.
 //
 // A forecast under the sliding strategy reads only the last W+MaxLag
 // view rows, so [NewForecastPlanContext] compiles a forecast plan over
@@ -46,7 +47,9 @@
 // horizon + evaluation endpoints) compile once and share the Plan or
 // cache the Fitted artifact; both are safe for concurrent use.
 //
-// Every feature materialization, per-window matrix gather, fit and
-// predict is timed into the [vup/internal/obs] stage histograms — the
-// live Section 4.5 table.
+// Those spans are also the pipeline's timers: every plan build,
+// feature materialization, evaluation, forecast fit and prediction is
+// timed into span_seconds{name} on the [vup/internal/obs] registry,
+// traced or not. Hold-out windows are timed as one plan.evaluate, not
+// one span per window.
 package core

@@ -80,14 +80,12 @@ func NewForecastPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Conf
 
 func compile(ctx context.Context, d *etl.VehicleDataset, cfg Config, tail bool) (p *Plan, err error) {
 	ctx, sp := trace.Start(ctx, "plan.build")
-	if sp != nil {
-		sp.SetAttr("vehicle", d.VehicleID)
-		sp.SetAttr("algorithm", string(cfg.Algorithm))
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
+	sp.SetAttr("vehicle", d.VehicleID)
+	sp.SetAttr("algorithm", string(cfg.Algorithm))
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -102,7 +100,7 @@ func compile(ctx context.Context, d *etl.VehicleDataset, cfg Config, tail bool) 
 	if tail {
 		return compileTail(ctx, cfg, view, maxLag, d.Len())
 	}
-	mat, err := materialize(ctx, view, maxLag, cfg)
+	mat, err := featsel.MaterializeContext(ctx, view, maxLag, cfg.Channels, cfg.IncludeContext, cfg.TargetChannels)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +134,7 @@ func compileTail(ctx context.Context, cfg Config, v *etl.VehicleDataset, maxLag,
 	if err != nil {
 		return nil, err
 	}
-	mat, err := materialize(ctx, view, maxLag, cfg)
+	mat, err := featsel.MaterializeContext(ctx, view, maxLag, cfg.Channels, cfg.IncludeContext, cfg.TargetChannels)
 	if err != nil {
 		return nil, err
 	}
@@ -147,15 +145,6 @@ func compileTail(ctx context.Context, cfg Config, v *etl.VehicleDataset, maxLag,
 // keeps lag 1, and its windows refuse their rows.
 func lagBudget(cfg Config, n int) int {
 	return max(1, min(cfg.MaxLag, n-1))
-}
-
-// materialize builds the lag superset of view, timed into
-// pipeline_feature_build_seconds.
-func materialize(ctx context.Context, view *etl.VehicleDataset, maxLag int, cfg Config) (*featsel.Materialized, error) {
-	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
-	mat, err := featsel.MaterializeContext(ctx, view, maxLag, cfg.Channels, cfg.IncludeContext, cfg.TargetChannels)
-	featureBuildSeconds.With().ObserveSince(mt)
-	return mat, err
 }
 
 // appendView returns the rows of base followed by rows [from, v.Len())
@@ -216,16 +205,14 @@ func (p *Plan) View() *etl.VehicleDataset { return p.view }
 // only that the new view holds its rows where it had them.
 func (p *Plan) ExtendContext(ctx context.Context, d *etl.VehicleDataset) (np *Plan, err error) {
 	ctx, sp := trace.Start(ctx, "plan.extend")
-	if sp != nil {
-		sp.SetAttr("vehicle", d.VehicleID)
-		defer func() {
-			if np != nil {
-				sp.SetAttrInt("appended_days", np.viewLen()-p.viewLen())
-			}
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
+	sp.SetAttr("vehicle", d.VehicleID)
+	defer func() {
+		if np != nil {
+			sp.SetAttrInt("appended_days", np.viewLen()-p.viewLen())
+		}
+		sp.SetError(err)
+		sp.End()
+	}()
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -257,9 +244,7 @@ func (p *Plan) ExtendContext(ctx context.Context, d *etl.VehicleDataset) (np *Pl
 	if p.d == nil {
 		return p.extendTail(ctx, d, view, maxLag)
 	}
-	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
 	mat, err := p.mat.AppendDays(view)
-	featureBuildSeconds.With().ObserveSince(mt)
 	if err != nil {
 		return nil, err
 	}
@@ -294,9 +279,7 @@ func (p *Plan) extendTail(ctx context.Context, d, view *etl.VehicleDataset, maxL
 	if err != nil {
 		return nil, err
 	}
-	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
 	mat, err := p.mat.AppendDays(tv)
-	featureBuildSeconds.With().ObserveSince(mt)
 	if err != nil {
 		return nil, err
 	}
@@ -372,18 +355,16 @@ func clampHours(pred float64) float64 {
 // is an error.
 func (p *Plan) EvaluateContext(ctx context.Context) (res *Result, err error) {
 	ctx, sp := trace.Start(ctx, "plan.evaluate")
-	if sp != nil {
-		sp.SetAttr("vehicle", p.view.VehicleID)
-		defer func() {
-			if res != nil {
-				sp.SetAttrInt("predictions", len(res.Predictions))
-				sp.SetAttrInt("skipped_windows", res.SkippedWindows)
-			}
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
-	return p.evaluate(ctx, sp)
+	sp.SetAttr("vehicle", p.view.VehicleID)
+	defer func() {
+		if res != nil {
+			sp.SetAttrInt("predictions", len(res.Predictions))
+			sp.SetAttrInt("skipped_windows", res.SkippedWindows)
+		}
+		sp.SetError(err)
+		sp.End()
+	}()
+	return p.evaluate(ctx, &sp)
 }
 
 // windowOutcome is what one hold-out window produced: a prediction
@@ -463,9 +444,7 @@ func (p *Plan) evaluate(ctx context.Context, sp *trace.Span) (*Result, error) {
 // row. A window without enough rows, or whose fit fails, is skipped.
 func (p *Plan) evaluateWindow(s *windowScratch, win timeseries.Window, wi int) windowOutcome {
 	lags := p.selectLags(win.TrainFrom, win.TrainTo)
-	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
 	x, y, err := p.mat.MatrixInto(&s.feat, lags, win.TrainFrom, win.TrainTo)
-	featureBuildSeconds.With().ObserveSince(mt)
 	if err != nil || len(x) < p.cfg.MinTrainRows {
 		return windowOutcome{}
 	}
@@ -511,14 +490,12 @@ type Fitted struct {
 // under it.
 func (p *Plan) FitContext(ctx context.Context) (f *Fitted, err error) {
 	ctx, sp := trace.Start(ctx, "plan.fit")
-	if sp != nil {
-		sp.SetAttr("vehicle", p.view.VehicleID)
-		sp.SetAttr("algorithm", string(p.cfg.Algorithm))
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
+	sp.SetAttr("vehicle", p.view.VehicleID)
+	sp.SetAttr("algorithm", string(p.cfg.Algorithm))
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 	n := p.view.Len()
 	trainFrom := 0
 	if p.cfg.Strategy == timeseries.Sliding && n > p.cfg.W {
@@ -529,9 +506,7 @@ func (p *Plan) FitContext(ctx context.Context) (f *Fitted, err error) {
 	lagSpan.SetAttrInt("lags", len(lags))
 	lagSpan.End()
 	var scratch featsel.Scratch
-	mt := time.Now() //lint:allow determinism stage timer; feeds pipeline_feature_build_seconds only, never figure bytes
 	x, y, err := p.mat.MatrixInto(&scratch, lags, trainFrom, n)
-	featureBuildSeconds.With().ObserveSince(mt)
 	if err != nil {
 		return nil, err
 	}
@@ -612,13 +587,11 @@ func (f *Fitted) override(ext *featsel.Extension, step int, target map[string]fl
 // child.
 func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64) (pred float64, err error) {
 	_, sp := trace.Start(ctx, "model.predict")
-	if sp != nil {
-		sp.SetAttr("vehicle", f.plan.view.VehicleID)
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
+	sp.SetAttr("vehicle", f.plan.view.VehicleID)
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 	ext := f.extension(1)
 	f.override(ext, 0, target)
 	row := make([]float64, f.plan.mat.RowWidth(f.lags))
@@ -642,14 +615,12 @@ func (f *Fitted) ForecastContext(ctx context.Context, target map[string]float64)
 // with the step count.
 func (f *Fitted) HorizonContext(ctx context.Context, h int, targets []map[string]float64) (out []float64, err error) {
 	_, sp := trace.Start(ctx, "model.horizon")
-	if sp != nil {
-		sp.SetAttr("vehicle", f.plan.view.VehicleID)
-		sp.SetAttrInt("steps", h)
-		defer func() {
-			sp.SetError(err)
-			sp.End()
-		}()
-	}
+	sp.SetAttr("vehicle", f.plan.view.VehicleID)
+	sp.SetAttrInt("steps", h)
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
 	return f.horizon(h, targets)
 }
 

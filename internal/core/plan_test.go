@@ -11,6 +11,7 @@ import (
 
 	"vup/internal/canbus"
 	"vup/internal/etl"
+	"vup/internal/obs"
 	"vup/internal/regress"
 	"vup/internal/timeseries"
 )
@@ -615,5 +616,57 @@ func TestSelectLagsDegenerateWindow(t *testing.T) {
 	// A two-day slice has exactly one rankable lag.
 	if lags := p.selectLags(0, 2); len(lags) != 1 || lags[0] != 1 {
 		t.Fatalf("selectLags(0, 2) = %v, want [1]", lags)
+	}
+}
+
+// spanCounts reads span_seconds{name} counts for the given span names.
+func spanCounts(names ...string) map[string]uint64 {
+	families := obs.Default.Gather()
+	out := make(map[string]uint64, len(names))
+	for _, name := range names {
+		s, _ := obs.FindSample(families, "span_seconds", obs.Label{Name: "name", Value: name})
+		out[name] = s.Count
+	}
+	return out
+}
+
+// TestPipelineSpansTimeThemselves checks that the pipeline's spans
+// time themselves into span_seconds without any trace collector: one
+// observation each for the evaluation's plan.build, featsel.materialize
+// and plan.evaluate (hold-out windows get no per-window spans), and one
+// each for a forecast's plan.fit, model.fit and model.predict.
+func TestPipelineSpansTimeThemselves(t *testing.T) {
+	d := testDataset(t, 7, 240)
+	cfg := fastConfig()
+	names := []string{"plan.build", "featsel.materialize", "plan.evaluate", "plan.fit", "model.fit", "model.predict"}
+
+	before := spanCounts(names...)
+	p, err := NewPlanContext(context.Background(), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EvaluateContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	after := spanCounts(names...)
+	for name, want := range map[string]uint64{"plan.build": 1, "featsel.materialize": 1, "plan.evaluate": 1, "model.fit": 0} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("evaluation: span_seconds{name=%q} +%d, want +%d", name, got, want)
+		}
+	}
+
+	before = after
+	f, err := p.FitContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ForecastContext(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	after = spanCounts(names...)
+	for _, name := range []string{"plan.fit", "model.fit", "model.predict"} {
+		if got := after[name] - before[name]; got != 1 {
+			t.Errorf("forecast: span_seconds{name=%q} +%d, want +1", name, got)
+		}
 	}
 }

@@ -248,7 +248,7 @@ func runTiming(ctx context.Context, cfg Config) (*Report, error) {
 			if err != nil {
 				return entry{}, err
 			}
-			start := time.Now() //lint:allow determinism -timing wall-clock table; documented as machine-dependent, not a figure
+			start := time.Now() //lint:allow determinism timing experiment wall-clock table; documented as machine-dependent, not a figure
 			if err := model.Fit(x, y); err != nil {
 				return entry{}, fmt.Errorf("experiments: timing %s: %w", algs[i], err)
 			}

@@ -68,14 +68,12 @@ type Materialized struct {
 func MaterializeContext(ctx context.Context, d *etl.VehicleDataset, maxLag int, channels []string, includeContext bool, targetChannels []string) (m *Materialized, err error) {
 	_, sp := trace.Start(ctx, "featsel.materialize")
 	defer func() {
-		if sp != nil {
-			if m != nil {
-				sp.SetAttrInt("days", m.n)
-				sp.SetAttrInt("width", m.width)
-			}
-			sp.SetError(err)
-			sp.End()
+		if m != nil {
+			sp.SetAttrInt("days", m.n)
+			sp.SetAttrInt("width", m.width)
 		}
+		sp.SetError(err)
+		sp.End()
 	}()
 	return materialize(d, maxLag, channels, includeContext, targetChannels)
 }

@@ -517,7 +517,6 @@ func (d *Dir) PendingRecords(id string) int {
 // never the directory — the corrupt-isolation property lazy boot
 // depends on.
 func (d *Dir) LoadVehicle(id string) (*etl.VehicleDataset, error) {
-	start := time.Now()
 	d.mu.Lock()
 	if d.manifest == nil {
 		d.mu.Unlock()
@@ -541,7 +540,6 @@ func (d *Dir) LoadVehicle(id string) (*etl.VehicleDataset, error) {
 	}
 	lazyLoads.With().Inc()
 	logReplayed.With().Add(uint64(replayed))
-	lazyLoadSeconds.With().ObserveSince(start)
 	return ds, nil
 }
 

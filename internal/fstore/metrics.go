@@ -3,10 +3,11 @@ package fstore
 import "vup/internal/obs"
 
 // Persistence telemetry, registered on the process-wide registry so
-// vup-server's GET /metrics exposes it next to the serving and
-// pipeline metrics. Counters measure durable bytes and replay volume;
+// vup-server's GET /metrics exposes it next to the serving and span
+// metrics. Counters measure durable bytes and replay volume;
 // the histograms time the two operator-visible paths (snapshot write,
-// cold-boot load).
+// cold-boot load). A lazy single-vehicle load is timed by the server's
+// store.load span.
 var (
 	snapshotBytes = obs.Default.Counter(
 		"fstore_snapshot_bytes_total",
@@ -28,10 +29,6 @@ var (
 	lazyLoads = obs.Default.Counter(
 		"fstore_lazy_loads_total",
 		"Single-vehicle snapshot loads via LoadVehicle (lazy faults).")
-	lazyLoadSeconds = obs.Default.Histogram(
-		"fstore_lazy_load_seconds",
-		"Wall-clock time of single-vehicle lazy loads.",
-		obs.DurationBuckets)
 	compactions = obs.Default.Counter(
 		"fstore_compactions_total",
 		"Per-vehicle append-log backlogs folded into snapshots by MaybeCompact.")

@@ -32,9 +32,10 @@ func isDeterministicPkg(importPath string) bool {
 // newDeterminism builds the determinism analyzer. In deterministic
 // packages it forbids:
 //
-//   - time.Now — wall-clock reads make outputs differ run to run. The
-//     stage timers that feed obs histograms are the one sanctioned use
-//     and carry //lint:allow directives.
+//   - time.Now — wall-clock reads make outputs differ run to run.
+//     Stage timing belongs to trace spans, which read the clock inside
+//     internal/obs/trace; a deliberate measurement (the timing
+//     experiment's table) carries a //lint:allow directive.
 //   - importing math/rand or math/rand/v2 — all randomness must flow
 //     through internal/randx so streams are seeded and splittable.
 //   - capturing a *randx.RNG inside a closure handed to

@@ -57,8 +57,8 @@
 //     path out of the acquiring function — a leaked pin permanently
 //     defeats -resident-budget eviction; a leaked span vanishes from
 //     its trace. Branch refinement understands `if err != nil` (the
-//     creator returned no handle on the failure path) and `if sp !=
-//     nil` guards. Discarding the handle outright (`_`) is flagged
+//     creator returned no handle on the failure path) and `if release
+//     != nil` guards. Discarding the handle outright (`_`) is flagged
 //     immediately.
 //
 //   - lockhold (flow): no blocking operation — known-blocking stdlib

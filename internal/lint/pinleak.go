@@ -284,8 +284,8 @@ func classifyUse(id *ast.Ident, stack []ast.Node) (useClass, *ast.CallExpr) {
 			return useNeutral, nil
 		}
 	case *ast.BinaryExpr:
-		// sp == nil / sp != nil guards are how nil-safe span handles
-		// are used; the branch refinement handles the semantics.
+		// handle == nil / handle != nil guards; the branch refinement
+		// handles the semantics.
 		if (p.Op == token.EQL || p.Op == token.NEQ) && (isNilIdent(p.X) || isNilIdent(p.Y)) {
 			return useNeutral, nil
 		}

@@ -121,14 +121,12 @@ func spanClean(ctx context.Context, work func() error) error {
 	return err
 }
 
-// The middleware shape: a nil-guarded span from a Collector. The nil
-// branch has nothing to end; the non-nil branch ends it. Silent.
-func spanNilGuard(ctx context.Context, c *trace.Collector) {
+// The middleware shape: a root span from a Collector, End deferred
+// right after the start. Silent.
+func spanDeferred(ctx context.Context, c *trace.Collector) {
 	_, sp := c.StartTrace(ctx, "GET /fixture")
-	if sp != nil {
-		sp.SetAttrInt("status", 200)
-		sp.End()
-	}
+	defer sp.End()
+	sp.SetAttrInt("status", 200)
 }
 
 // A span captured by a closure escapes: the closure owns the End.

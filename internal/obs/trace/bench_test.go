@@ -23,10 +23,11 @@ func TestSpanDisabledAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanDisabled measures the no-collector fast path: a Start
-// that finds no active span plus the nil-safe method calls.
-// BENCH_trace.json records the result; the CI smoke run plus
-// TestSpanDisabledAllocFree keep it at 0 allocs/op.
+// BenchmarkSpanDisabled measures the untraced path: a Start that
+// finds no active span and reads the clock, the no-op setters, and an
+// End that reads the clock again and observes span_seconds.
+// BENCH_trace.json records the result; TestSpanDisabledAllocFree keeps
+// it at 0 allocs/op.
 func BenchmarkSpanDisabled(b *testing.B) {
 	ctx := context.Background()
 	b.ReportAllocs()

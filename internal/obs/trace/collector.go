@@ -70,7 +70,8 @@ type Options struct {
 
 // Collector owns ID generation, the tail-sampling policy and the
 // bounded ring buffer of kept traces. All methods are safe for
-// concurrent use; a nil *Collector disables tracing entirely.
+// concurrent use; a nil *Collector collects no traces, and its spans
+// only time themselves.
 type Collector struct {
 	slow time.Duration
 	rate float64
@@ -106,15 +107,16 @@ func NewCollector(o Options) *Collector {
 
 // StartTrace opens a root span and returns a context carrying it;
 // Start calls below that context create its children. On a nil
-// collector it returns ctx unchanged and a nil *Span.
-func (c *Collector) StartTrace(ctx context.Context, name string) (context.Context, *Span) {
+// collector it returns ctx unchanged and an untraced span, which still
+// times itself into span_seconds.
+func (c *Collector) StartTrace(ctx context.Context, name string) (context.Context, Span) {
+	sp := Span{name: name, start: monotonic()}
 	if c == nil {
-		return ctx, nil
+		return ctx, sp
 	}
-	now := time.Now()
-	tr := &activeTrace{c: c, traceID: c.newTraceID(), start: now, wall: now}
-	s := &Span{tr: tr, name: name, spanID: tr.nextSpanID(), start: now}
-	return context.WithValue(ctx, spanKey{}, s), s
+	tr := &activeTrace{c: c, traceID: c.newTraceID(), start: sp.start, wall: time.Now()}
+	sp.t = &span{tr: tr, spanID: tr.nextSpanID()}
+	return context.WithValue(ctx, spanKey{}, sp.t), sp
 }
 
 // newTraceID draws a 64-bit ID from the seeded stream, rendered as 16

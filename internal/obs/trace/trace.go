@@ -6,24 +6,32 @@
 // errored and slow traces — and are served as JSON summaries and text
 // waterfalls at GET /debug/traces.
 //
-// The aggregate stage histograms of package obs answer "are fits
-// slow"; a trace answers "which vehicle, which window, which config".
-// Trace IDs are drawn from internal/randx, so a seeded Collector emits
-// a reproducible ID stream and tests can assert on exact IDs.
+// Spans are also the process's only stage timer. Every span times
+// itself whether or not a trace is being collected, and End records
+// the duration into the span_seconds{name} histogram on obs.Default,
+// with the trace ID as the bucket's exemplar when the span is traced.
+// The histogram answers "are fits slow"; a trace answers "which
+// vehicle, which window, which config". Trace IDs are drawn from
+// internal/randx, so a seeded Collector emits a reproducible ID stream
+// and tests can assert on exact IDs.
 //
 // When no trace is active — no Collector configured, or the request
-// was not started under Collector.StartTrace — every function in the
-// span API is an allocation-free no-op: Start returns its context
-// unchanged with a nil *Span, and all *Span methods are nil-safe.
-// BenchmarkSpanDisabled pins this at 0 allocs/op.
+// was not started under Collector.StartTrace — a span is a small value
+// holding its name and start time: Start returns its context unchanged,
+// the attribute and error setters are no-ops, and End reads the clock
+// and observes the histogram without allocating.
+// TestSpanDisabledAllocFree pins this at 0 allocs/op.
 package trace
 
 import (
 	"context"
+	"maps"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"vup/internal/obs"
 )
 
 // Attr is one span attribute: a low-cardinality key with a
@@ -46,46 +54,84 @@ type SpanData struct {
 	Err      string        `json:"error,omitempty"`
 }
 
-// spanKey carries the active *Span through a context. The zero-size
-// key boxes to a static interface value, so the disabled-path
-// ctx.Value lookup does not allocate.
+// epoch anchors the span clock. time.Since on a reading that carries
+// the monotonic clock reads only that clock, about half the cost of
+// time.Now, so spans keep their start as an offset from epoch.
+var epoch = time.Now()
+
+// monotonic returns the time elapsed since epoch.
+func monotonic() time.Duration { return time.Since(epoch) }
+
+// spanSeconds times every ended span by name. Span names are fixed
+// strings at their call sites (the root span's is "METHOD route"), so
+// the label stays low-cardinality.
+var spanSeconds = obs.Default.HistogramWithExemplars(
+	"span_seconds",
+	"Span durations by span name, traced or not; a bucket's exemplar is the trace ID of its last traced span.",
+	obs.DurationBuckets, "name")
+
+// spanHists caches the span_seconds child of each name seen so far, so
+// End resolves its histogram with one atomic load and a map read. A
+// new name copies the map under spanHistsMu.
+var (
+	spanHists   atomic.Pointer[map[string]*obs.Histogram]
+	spanHistsMu sync.Mutex
+)
+
+func init() { spanHists.Store(&map[string]*obs.Histogram{}) }
+
+// histogramFor returns span_seconds{name}.
+func histogramFor(name string) *obs.Histogram {
+	if h, ok := (*spanHists.Load())[name]; ok {
+		return h
+	}
+	spanHistsMu.Lock()
+	defer spanHistsMu.Unlock()
+	next := maps.Clone(*spanHists.Load())
+	h, ok := next[name]
+	if !ok {
+		h = spanSeconds.With(name)
+		next[name] = h
+		spanHists.Store(&next)
+	}
+	return h
+}
+
+// spanKey carries the active traced span through a context.
 type spanKey struct{}
 
-// FromContext returns the context's active span, or nil when the
-// context carries none.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
-// Start opens a child span under the context's active span and returns
-// a derived context carrying it. When the context has no active span
-// (tracing disabled, or the caller is not under StartTrace) it returns
-// ctx unchanged and a nil *Span without allocating — the instrumented
+// Start opens a span named name and, when the context carries a traced
+// span, makes it that span's child and returns a derived context
+// carrying it. Without an active trace (tracing disabled, or the caller
+// is not under StartTrace) it returns ctx unchanged and an untraced
+// span that only times itself, without allocating — the instrumented
 // code needs no enabled-check of its own.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
+func Start(ctx context.Context, name string) (context.Context, Span) {
+	sp := Span{name: name, start: monotonic()}
+	parent, _ := ctx.Value(spanKey{}).(*span)
 	if parent == nil {
-		return ctx, nil
+		return ctx, sp
 	}
-	s := &Span{
-		tr:       parent.tr,
-		name:     name,
-		spanID:   parent.tr.nextSpanID(),
-		parentID: parent.spanID,
-		start:    time.Now(),
-	}
-	return context.WithValue(ctx, spanKey{}, s), s
+	sp.t = &span{tr: parent.tr, spanID: parent.tr.nextSpanID(), parentID: parent.spanID}
+	return context.WithValue(ctx, spanKey{}, sp.t), sp
 }
 
-// Span is one in-progress operation. All methods are safe on a nil
-// receiver (the disabled path) and safe for concurrent use.
+// Span is one in-progress operation, handed out by value. End belongs
+// to the goroutine that started the span; the setters of a traced span
+// are safe for concurrent use.
 type Span struct {
+	t     *span // the traced half; nil when no trace is collected
+	name  string
+	start time.Duration // monotonic() at Start
+	ended bool
+}
+
+// span is the traced half of a Span: its place in the tree and what it
+// records into the trace.
+type span struct {
 	tr       *activeTrace
-	name     string
 	spanID   string
 	parentID string
-	start    time.Time
 
 	mu    sync.Mutex
 	attrs []Attr
@@ -93,73 +139,80 @@ type Span struct {
 	ended bool
 }
 
-// TraceID returns the ID of the trace this span belongs to, "" on a
-// nil span.
+// TraceID returns the ID of the trace this span belongs to, "" on an
+// untraced span.
 func (s *Span) TraceID() string {
-	if s == nil {
+	if s.t == nil {
 		return ""
 	}
-	return s.tr.traceID
+	return s.t.tr.traceID
 }
 
-// SetAttr attaches a key/value attribute. Later values for the same
-// key append rather than replace; the waterfall prints them in order.
+// SetAttr attaches a key/value attribute to a traced span. Later
+// values for the same key append rather than replace; the waterfall
+// prints them in order.
 func (s *Span) SetAttr(key, value string) {
-	if s == nil {
+	if s.t == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		s.attrs = append(s.attrs, Attr{Key: key, Value: value})
+	s.t.mu.Lock()
+	if !s.t.ended {
+		s.t.attrs = append(s.t.attrs, Attr{Key: key, Value: value})
 	}
-	s.mu.Unlock()
+	s.t.mu.Unlock()
 }
 
-// SetAttrInt attaches an integer attribute.
+// SetAttrInt attaches an integer attribute to a traced span.
 func (s *Span) SetAttrInt(key string, value int) {
+	if s.t == nil {
+		return
+	}
 	s.SetAttr(key, strconv.Itoa(value))
 }
 
-// SetError marks the span failed. A nil err is ignored, so call sites
-// can record unconditionally. An errored span forces its whole trace
-// through the tail sampler's always-keep path.
+// SetError marks a traced span failed. A nil err is ignored, so call
+// sites can record unconditionally. An errored span forces its whole
+// trace through the tail sampler's always-keep path.
 func (s *Span) SetError(err error) {
-	if s == nil || err == nil {
+	if s.t == nil || err == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended && s.err == "" {
-		s.err = err.Error()
+	s.t.mu.Lock()
+	if !s.t.ended && s.t.err == "" {
+		s.t.err = err.Error()
 	}
-	s.mu.Unlock()
+	s.t.mu.Unlock()
 }
 
-// End completes the span with its monotonic duration and hands it to
-// the trace. Ending the root span finalizes the trace and submits it
-// to the collector's tail sampler; spans ended after their root are
-// dropped. End is idempotent.
+// End completes the span: its monotonic duration goes into
+// span_seconds{name} and, when traced, into the trace. Ending the root
+// span finalizes the trace and submits it to the collector's tail
+// sampler; spans ended after their root are dropped from the trace.
+// End is idempotent.
 func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	dur := time.Since(s.start)
-	s.mu.Lock()
 	if s.ended {
-		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	attrs, errMsg := s.attrs, s.err
-	s.mu.Unlock()
-	s.tr.finish(SpanData{
-		SpanID:   s.spanID,
-		ParentID: s.parentID,
-		Name:     s.name,
-		Offset:   s.start.Sub(s.tr.start),
-		Duration: dur,
-		Attrs:    attrs,
-		Err:      errMsg,
-	}, s.parentID == "")
+	dur := monotonic() - s.start
+	traceID := ""
+	if t := s.t; t != nil {
+		traceID = t.tr.traceID
+		t.mu.Lock()
+		t.ended = true
+		attrs, errMsg := t.attrs, t.err
+		t.mu.Unlock()
+		t.tr.finish(SpanData{
+			SpanID:   t.spanID,
+			ParentID: t.parentID,
+			Name:     s.name,
+			Offset:   s.start - t.tr.start,
+			Duration: dur,
+			Attrs:    attrs,
+			Err:      errMsg,
+		}, t.parentID == "")
+	}
+	histogramFor(s.name).ObserveExemplar(dur.Seconds(), traceID)
 }
 
 // activeTrace accumulates the finished spans of one trace until its
@@ -168,8 +221,8 @@ func (s *Span) End() {
 type activeTrace struct {
 	c       *Collector
 	traceID string
-	start   time.Time // monotonic anchor for span offsets
-	wall    time.Time // wall-clock start for display
+	start   time.Duration // monotonic() at the root's start, anchors span offsets
+	wall    time.Time     // wall-clock start for display
 	nextID  atomic.Uint64
 
 	mu    sync.Mutex

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vup/internal/obs"
 )
 
 // keepAll returns a collector that stores every completed trace.
@@ -19,19 +21,19 @@ func keepAll(t *testing.T) *Collector {
 func TestStartWithoutTraceIsNoOp(t *testing.T) {
 	ctx := context.Background()
 	ctx2, sp := Start(ctx, "orphan")
-	if sp != nil {
-		t.Fatal("Start without an active trace returned a span")
+	if sp.TraceID() != "" {
+		t.Fatal("Start without an active trace returned a traced span")
 	}
 	if ctx2 != ctx {
 		t.Fatal("Start without an active trace derived a new context")
 	}
-	// Every nil-span method must be callable.
+	// Every method of an untraced span must be callable.
 	sp.SetAttr("k", "v")
 	sp.SetAttrInt("n", 1)
 	sp.SetError(errors.New("boom"))
 	sp.End()
 	if id := sp.TraceID(); id != "" {
-		t.Fatalf("nil span TraceID = %q", id)
+		t.Fatalf("untraced span TraceID = %q", id)
 	}
 }
 
@@ -283,8 +285,8 @@ func TestWaterfallRendering(t *testing.T) {
 func TestNilCollector(t *testing.T) {
 	var c *Collector
 	ctx, sp := c.StartTrace(context.Background(), "r")
-	if sp != nil {
-		t.Fatal("nil collector produced a span")
+	if sp.TraceID() != "" {
+		t.Fatal("nil collector produced a traced span")
 	}
 	if c.Len() != 0 || c.Traces() != nil {
 		t.Fatal("nil collector holds traces")
@@ -293,4 +295,49 @@ func TestNilCollector(t *testing.T) {
 		t.Fatal("nil collector resolved a trace")
 	}
 	_ = ctx
+}
+
+// spanSample reads span_seconds{name} from the process-wide registry.
+func spanSample(name string) obs.Sample {
+	s, _ := obs.FindSample(obs.Default.Gather(), "span_seconds", obs.Label{Name: "name", Value: name})
+	return s
+}
+
+// TestSpanSeconds checks that spans time themselves into
+// span_seconds{name} with or without a collector, that a traced span's
+// bucket carries its trace ID as exemplar, and that a repeated End
+// counts once in either mode.
+func TestSpanSeconds(t *testing.T) {
+	before := spanSample("test.untraced").Count
+	_, sp := Start(context.Background(), "test.untraced")
+	sp.End()
+	if got := spanSample("test.untraced").Count - before; got != 1 {
+		t.Fatalf("untraced span: span_seconds count +%d, want +1", got)
+	}
+	sp.End()
+	if got := spanSample("test.untraced").Count - before; got != 1 {
+		t.Fatalf("second End of an untraced span: count +%d, want +1", got)
+	}
+
+	c := keepAll(t)
+	before = spanSample("test.traced").Count
+	ctx, root := c.StartTrace(context.Background(), "test.root")
+	_, child := Start(ctx, "test.traced")
+	child.End()
+	child.End()
+	root.End()
+	s := spanSample("test.traced")
+	if got := s.Count - before; got != 1 {
+		t.Fatalf("traced span ended twice: span_seconds count +%d, want +1", got)
+	}
+	var found bool
+	for _, b := range s.Buckets {
+		found = found || (b.Exemplar != nil && b.Exemplar.TraceID == root.TraceID())
+	}
+	if !found {
+		t.Fatalf("no span_seconds{name=\"test.traced\"} bucket carries exemplar %s", root.TraceID())
+	}
+	if td, ok := c.Get(root.TraceID()); !ok || len(td.Spans) != 2 {
+		t.Fatalf("trace stored %v with a double-ended child, want 2 spans", ok)
+	}
 }

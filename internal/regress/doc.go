@@ -9,9 +9,9 @@
 //
 // [Algorithms] returns the six models of the Figure 5 comparison in
 // presentation order. [vup/internal/core] consumes them through the
-// [Regressor] interface, one fresh model per training window, wrapped
-// by [Instrument] so every fit and predict lands in the Section 4.5
-// stage histograms of [vup/internal/obs]. Fitting is deterministic —
+// [Regressor] interface, one fresh model per training window, and
+// times its forecast fits and predictions with trace spans; this
+// package reads no clock. Fitting is deterministic —
 // models that need randomness (the related-work Random Forest) carry
 // an explicit seed — which is what lets the parallel sweeps of
 // [vup/internal/parallel] reproduce sequential results exactly.

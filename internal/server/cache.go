@@ -14,8 +14,8 @@ import (
 
 // Forecast-cache telemetry, on the process-wide registry so the
 // binary's GET /metrics exposes the serving-side counterpart of the
-// pipeline stage histograms: how often a request was answered from a
-// trained artifact instead of retraining.
+// span histograms: how often a request was answered from a trained
+// artifact instead of retraining.
 var (
 	cacheHits = obs.Default.Counter(
 		"forecast_cache_hits_total",

@@ -145,19 +145,12 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttrInt("days", len(days))
 	sp.End()
 
-	rejected := 0
-	for reason, n := range reasons {
-		rejected += n
-		ingestRejected.With(reason).Add(uint64(n))
-	}
-	ingestAccepted.With().Add(uint64(accepted))
-
-	resp := ingestResponse{Vehicle: id, Accepted: accepted, Rejected: rejected, Reasons: reasons}
 	if span > maxIngestDays {
 		writeError(w, http.StatusUnprocessableEntity,
 			"batch spans %d days, limit %d: reload the vehicle from a snapshot instead", span, maxIngestDays)
 		return
 	}
+	resp := ingestResponse{Vehicle: id, Accepted: accepted, Reasons: reasons}
 	if len(days) > 0 {
 		var appendCtx context.Context
 		appendCtx, sp = trace.Start(ctx, "ingest.append")
@@ -183,6 +176,13 @@ func (a *API) handleIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.Generation = a.store.Generation(id)
 	}
+	// Reports count only once the batch has landed: a refused span or
+	// a failed append leaves the counters as they were.
+	for reason, n := range reasons {
+		resp.Rejected += n
+		ingestRejected.With(reason).Add(uint64(n))
+	}
+	ingestAccepted.With().Add(uint64(accepted))
 	resp.TookMS = float64(time.Since(start).Microseconds()) / 1000
 	writeJSON(w, http.StatusOK, resp)
 }

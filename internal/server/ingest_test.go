@@ -574,6 +574,53 @@ func TestIngestFarFutureGapRefusedUpFront(t *testing.T) {
 	}
 }
 
+// rejectedTotal sums ingest_reports_rejected_total over every reason.
+func rejectedTotal() float64 {
+	var sum float64
+	for _, fam := range obs.Default.Gather() {
+		if fam.Name == "ingest_reports_rejected_total" {
+			for _, s := range fam.Samples {
+				sum += s.Value
+			}
+		}
+	}
+	return sum
+}
+
+// TestIngestRefusedBatchCountsNothing: a batch refused with 422 for
+// spanning too many days leaves the accepted and rejected report
+// counters where they were — reports count only once a batch lands.
+func TestIngestRefusedBatchCountsNothing(t *testing.T) {
+	datasets := persistDatasets(t)
+	store, err := NewStore(datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(store, persistConfig()).Handler()
+	d := datasets[0]
+	last := d.Date(d.Len() - 1)
+	// Six reports 200 days ahead (accepted on their own) and one for a
+	// day already held (rejected as stale).
+	reports := append(dayReports(d, last.AddDate(0, 0, 200), 10), dayReports(d, last, 10)[0])
+	raw, err := json.Marshal(ingestRequest{Reports: reports})
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted0, rejected0 := counterValue(t, "ingest_reports_accepted_total"), rejectedTotal()
+	req := httptest.NewRequest(http.MethodPost, "/v1/vehicles/"+d.VehicleID+"/ingest", bytes.NewReader(raw))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", rec.Code, rec.Body)
+	}
+	if got := counterValue(t, "ingest_reports_accepted_total") - accepted0; got != 0 {
+		t.Errorf("refused batch moved ingest_reports_accepted_total by %v", got)
+	}
+	if got := rejectedTotal() - rejected0; got != 0 {
+		t.Errorf("refused batch moved ingest_reports_rejected_total by %v", got)
+	}
+}
+
 // TestIngestShedsBeforeAcquire: with the gate full, a batch for a cold
 // vehicle of a lazy store is shed without faulting that vehicle in, so
 // it evicts nothing either; an unknown vehicle is shed the same way.

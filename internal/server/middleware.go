@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"vup/internal/obs"
 )
 
 // HTTP telemetry, registered on the process-wide registry so the
-// binary's GET /metrics exposes it alongside the pipeline stage
-// histograms. Routes are labeled with the mux pattern (not the raw
-// URL) to keep cardinality bounded. The latency histogram carries
-// exemplars: each bucket remembers the trace ID of its last traced
-// request, so a latency spike on a dashboard links straight to a
-// stored waterfall at /debug/traces/{id}.
+// binary's GET /metrics exposes it alongside the span histograms.
+// Routes are labeled with the mux pattern (not the raw URL) to keep
+// cardinality bounded. Request latency is the root span's
+// span_seconds{name="METHOD route"}, whose exemplars link a latency
+// spike on a dashboard straight to a stored waterfall at
+// /debug/traces/{id}.
 var (
 	httpRequests = obs.Default.Counter(
 		"http_requests_total",
@@ -24,10 +23,6 @@ var (
 	httpInFlight = obs.Default.Gauge(
 		"http_requests_in_flight",
 		"Requests currently being served.")
-	httpDuration = obs.Default.HistogramWithExemplars(
-		"http_request_duration_seconds",
-		"Request latency by route pattern.",
-		obs.DurationBuckets, "route")
 	writeErrors = obs.Default.Counter(
 		"server_write_errors_total",
 		"Response bodies that failed to encode or write after the header was sent.")
@@ -67,24 +62,22 @@ func statusClass(code int) string {
 }
 
 // instrument wraps a handler with the per-route telemetry — request
-// counter by status class, in-flight gauge, latency histogram — and,
-// when the API has a trace collector, a root span per request. The
+// counter by status class, in-flight gauge — and a root span per
+// request, which times it. When the API has a trace collector, the
 // trace ID is echoed in the X-Trace-Id response header and bound (with
 // the vehicle, when the route has one) onto a request-scoped logger in
 // the context, so the handler and the pipeline below it log and trace
 // under one identity.
 func (a *API) instrument(route string, h http.HandlerFunc) http.Handler {
 	requests2xx := httpRequests.With(route, "2xx") // warm the hot child
-	duration := httpDuration.With(route)
 	inFlight := httpInFlight.With()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		inFlight.Inc()
 		defer inFlight.Dec()
 
 		ctx, sp := a.Traces.StartTrace(r.Context(), r.Method+" "+route)
-		traceID := sp.TraceID()
-		if sp != nil {
+		defer sp.End()
+		if traceID := sp.TraceID(); traceID != "" {
 			w.Header().Set("X-Trace-Id", traceID)
 			logger := obs.DefaultLogger().With("trace_id", traceID)
 			if id := r.PathValue("id"); id != "" {
@@ -107,13 +100,9 @@ func (a *API) instrument(route string, h http.HandlerFunc) http.Handler {
 		} else {
 			httpRequests.With(route, class).Inc()
 		}
-		duration.ObserveExemplar(time.Since(start).Seconds(), traceID)
-		if sp != nil {
-			sp.SetAttrInt("status", status)
-			if status >= 500 {
-				sp.SetError(fmt.Errorf("status %d", status))
-			}
-			sp.End()
+		sp.SetAttrInt("status", status)
+		if status >= 500 {
+			sp.SetError(fmt.Errorf("status %d", status))
 		}
 	})
 }

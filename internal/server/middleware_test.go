@@ -78,10 +78,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		`http_requests_total{route="/healthz",status="2xx"}`,
 		`http_requests_total{route="/v1/vehicles/{id}",status="4xx"}`,
 		`http_requests_total{route="/v1/vehicles/{id}/forecast",status="4xx"}`,
-		`http_request_duration_seconds_bucket{route="/healthz",le="+Inf"}`,
+		`span_seconds_bucket{name="GET /healthz",le="+Inf"}`,
 		"http_requests_in_flight",
 		"server_write_errors_total",
-		"pipeline_fit_seconds_bucket",
+		`span_seconds_bucket{name="model.fit",le="+Inf"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -155,8 +155,8 @@ func TestMiddlewareConcurrent(t *testing.T) {
 	if got := requestsSample("/healthz", "2xx"); got != before+workers*per {
 		t.Errorf("counter went %d -> %d, want +%d", before, got, workers*per)
 	}
-	hist, ok := obs.FindSample(obs.Default.Gather(), "http_request_duration_seconds",
-		obs.Label{Name: "route", Value: "/healthz"})
+	hist, ok := obs.FindSample(obs.Default.Gather(), "span_seconds",
+		obs.Label{Name: "name", Value: "GET /healthz"})
 	if !ok || hist.Count < workers*per {
 		t.Errorf("latency histogram count %d, want >= %d", hist.Count, workers*per)
 	}
@@ -167,8 +167,8 @@ func TestMiddlewareConcurrent(t *testing.T) {
 
 // BenchmarkMiddleware measures the pure instrumentation overhead per
 // request: the wrapped handler is a no-op, so everything measured is
-// the middleware (CI runs this as a smoke check that the cost stays in
-// the nanosecond range).
+// the middleware: its counters and the root span's clock reads and
+// histogram observe.
 func BenchmarkMiddleware(b *testing.B) {
 	a := New(&Store{}, core.DefaultConfig())
 	h := a.instrument("/bench", func(w http.ResponseWriter, _ *http.Request) {

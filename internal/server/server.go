@@ -402,9 +402,10 @@ type API struct {
 	// requests onto one training run. Nil or zero-capacity means every
 	// request trains.
 	Cache *ForecastCache
-	// Traces, when set, opens a root span per API request (echoed in
-	// the X-Trace-Id response header) and stores tail-sampled traces
-	// for GET /debug/traces. Nil disables tracing at zero cost.
+	// Traces, when set, traces each API request's root span (its ID
+	// echoed in the X-Trace-Id response header) and stores tail-sampled
+	// traces for GET /debug/traces. Nil stores no traces; the spans
+	// still time themselves into span_seconds.
 	Traces *trace.Collector
 	// IngestPolicy selects how gap days inside an ingested batch are
 	// repaired (zero value: MissingZero, the paper's default).
