@@ -6,10 +6,8 @@
 package etl
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"time"
@@ -108,55 +106,150 @@ func (d *VehicleDataset) Validate() error {
 	return nil
 }
 
-// Fingerprint returns a 64-bit FNV-1a hash over the dataset's identity
-// and every value the prediction pipeline reads: hours, channel
-// aggregates (in sorted channel order), observed flags and explicit
-// dates. Datasets with equal fingerprints are interchangeable as model
-// input, which makes the hash the data component of trained-artifact
-// cache keys (internal/server's forecast cache). Context is derived
-// from country and dates, both covered, so it is not hashed again.
+// Fingerprint returns a 64-bit hash over the dataset's identity and
+// every value the prediction pipeline reads. Datasets with equal
+// fingerprints are interchangeable as model input, which makes the
+// hash the data component of trained-artifact cache keys
+// (internal/server's forecast cache) and the integrity check of the
+// fleet store's manifest. Context is derived from country and dates,
+// both covered, so it is not hashed again.
+//
+// The hash works on 64-bit words, folded into a state one at a time
+// by fpMix. A header is folded first: VehicleID, ModelID and Country
+// length-prefixed, Type, Start's Unix seconds, the explicit-dates
+// flag, then the channel count and the channel names in sorted order.
+// Then come the rows in day order. A row's words — hours bits,
+// observed, the date's Unix seconds when Dates is explicit, then each
+// channel's value bits in sorted-name order — are folded into a row
+// hash, and the row hash into the state. The state after the last row
+// is the fingerprint, so a series grown by k rows can be rehashed from
+// its prefix's fingerprint in O(k·channels).
+// internal/fstore/FORMAT.md §3.1 specifies the definition.
 func (d *VehicleDataset) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+	names := d.ChannelNames()
+	h := fingerprintHeader(d, names)
+	cols := make([][]float64, len(names))
+	for j, name := range names {
+		cols[j] = d.Channels[name]
 	}
-	writeStr := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+	return fingerprintRows(h, d.Hours, d.Observed, d.Dates, cols)
+}
+
+// fpSeed is the hash state before the first word and fpMul the odd
+// multiplier of fpMix.
+const (
+	fpSeed = 0x9e3779b97f4a7c15
+	fpMul  = 0xbf58476d1ce4e5b9
+)
+
+// fpMix folds one word into the state: an xor-multiply, which carries
+// every bit of the word into the bits above it, then an xor-shift that
+// carries the high bits back down. For a fixed word it is a bijection
+// of the state, so two word sequences that differ in a single word
+// never collide.
+func fpMix(h, w uint64) uint64 {
+	h = (h ^ w) * fpMul
+	return h ^ h>>32
+}
+
+// fpString folds a length-prefixed string: its byte length, then its
+// bytes packed little-endian into words, the last one zero-padded.
+func fpString(h uint64, s string) uint64 {
+	h = fpMix(h, uint64(len(s)))
+	for len(s) >= 8 {
+		h = fpMix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+		s = s[8:]
 	}
-	writeStr(d.VehicleID)
-	writeStr(d.ModelID)
-	writeStr(d.Country)
-	writeU64(uint64(d.Type))
-	writeU64(uint64(d.Start.Unix()))
-	writeU64(uint64(len(d.Hours)))
-	for _, v := range d.Hours {
-		writeU64(math.Float64bits(v))
+	if len(s) > 0 {
+		var w uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			w = w<<8 | uint64(s[i])
+		}
+		h = fpMix(h, w)
 	}
+	return h
+}
+
+// fingerprintHeader hashes the identity header; names are the
+// dataset's channel names in sorted order.
+func fingerprintHeader(d *VehicleDataset, names []string) uint64 {
+	h := uint64(fpSeed)
+	h = fpString(h, d.VehicleID)
+	h = fpString(h, d.ModelID)
+	h = fpString(h, d.Country)
+	h = fpMix(h, uint64(d.Type))
+	h = fpMix(h, uint64(d.Start.Unix()))
+	h = fpMix(h, b2u(d.Dates != nil))
+	h = fpMix(h, uint64(len(names)))
+	for _, name := range names {
+		h = fpString(h, name)
+	}
+	return h
+}
+
+// fingerprintRows folds rows into state h: hours, observed, dates
+// (nil for a contiguous dataset) and the channel columns in
+// sorted-name order, all aligned. Each row's words are folded into a
+// row hash that starts from fpSeed, and the row hash is folded into h.
+// Row hashes depend neither on h nor on each other, so the main loop
+// computes four rows' hashes side by side: the processor runs the four
+// multiply chains at once instead of waiting on one.
+func fingerprintRows(h uint64, hours []float64, observed []bool, dates []time.Time, cols [][]float64) uint64 {
+	n := len(hours)
+	observed = observed[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		hs, os := hours[i:i+4], observed[i:i+4]
+		r0 := fpMix(fpMix(fpSeed, math.Float64bits(hs[0])), b2u(os[0]))
+		r1 := fpMix(fpMix(fpSeed, math.Float64bits(hs[1])), b2u(os[1]))
+		r2 := fpMix(fpMix(fpSeed, math.Float64bits(hs[2])), b2u(os[2]))
+		r3 := fpMix(fpMix(fpSeed, math.Float64bits(hs[3])), b2u(os[3]))
+		if dates != nil {
+			ds := dates[i : i+4]
+			r0 = fpMix(r0, uint64(ds[0].Unix()))
+			r1 = fpMix(r1, uint64(ds[1].Unix()))
+			r2 = fpMix(r2, uint64(ds[2].Unix()))
+			r3 = fpMix(r3, uint64(ds[3].Unix()))
+		}
+		for _, c := range cols {
+			c := c[i : i+4]
+			r0 = fpMix(r0, math.Float64bits(c[0]))
+			r1 = fpMix(r1, math.Float64bits(c[1]))
+			r2 = fpMix(r2, math.Float64bits(c[2]))
+			r3 = fpMix(r3, math.Float64bits(c[3]))
+		}
+		h = fpMix(fpMix(fpMix(fpMix(h, r0), r1), r2), r3)
+	}
+	for ; i < n; i++ {
+		r := fpMix(fpMix(fpSeed, math.Float64bits(hours[i])), b2u(observed[i]))
+		if dates != nil {
+			r = fpMix(r, uint64(dates[i].Unix()))
+		}
+		for _, c := range cols {
+			r = fpMix(r, math.Float64bits(c[i]))
+		}
+		h = fpMix(h, r)
+	}
+	return h
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// ChannelNames returns the dataset's channel names in sorted order —
+// the column order of its snapshot table and of its fingerprint.
+func (d *VehicleDataset) ChannelNames() []string {
 	names := make([]string, 0, len(d.Channels))
 	for name := range d.Channels {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for _, name := range names {
-		writeStr(name)
-		for _, v := range d.Channels[name] {
-			writeU64(math.Float64bits(v))
-		}
-	}
-	for _, o := range d.Observed {
-		if o {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	for _, t := range d.Dates {
-		writeU64(uint64(t.Unix()))
-	}
-	return h.Sum64()
+	return names
 }
 
 // FromUsage builds a dataset from a generated usage series using the

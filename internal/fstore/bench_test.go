@@ -20,9 +20,19 @@ import (
 // benchChannels matches the study's analog channel count (Table 1).
 var benchChannels = []string{"engine_speed", "fuel_rate", "coolant_temp", "oil_pressure", "boost_pressure"}
 
+// studyChannels has the channel count of the served study fleet
+// (canbus.AnalogChannels): ten series per snapshot.
+var studyChannels = []string{"engine_speed", "fuel_rate", "coolant_temp", "oil_pressure", "boost_pressure",
+	"speed", "load", "hydraulic_pressure", "intake_temp", "battery_voltage"}
+
 // synthDataset builds one deterministic vehicle-year without running
 // the fleet simulator.
 func synthDataset(id, days int) *etl.VehicleDataset {
+	return synthChannels(id, days, benchChannels)
+}
+
+// synthChannels is synthDataset over the given channel names.
+func synthChannels(id, days int, channels []string) *etl.VehicleDataset {
 	d := &etl.VehicleDataset{
 		VehicleID: fmt.Sprintf("veh-%04d", id),
 		Type:      fleet.Type(id % 3),
@@ -31,16 +41,16 @@ func synthDataset(id, days int) *etl.VehicleDataset {
 		Start:     time.Date(2015, 1, 1, 0, 0, 0, 0, time.UTC),
 		Hours:     make([]float64, days),
 		Observed:  make([]bool, days),
-		Channels:  make(map[string][]float64, len(benchChannels)),
+		Channels:  make(map[string][]float64, len(channels)),
 	}
-	for _, name := range benchChannels {
+	for _, name := range channels {
 		d.Channels[name] = make([]float64, days)
 	}
 	for i := 0; i < days; i++ {
 		phase := float64(id)/10 + float64(i)/7
 		d.Hours[i] = 4 + 3*math.Sin(phase)
 		d.Observed[i] = i%11 != 0
-		for c, name := range benchChannels {
+		for c, name := range channels {
 			d.Channels[name][i] = float64(c+1) * (100 + 10*math.Cos(phase+float64(c)))
 		}
 	}
@@ -71,12 +81,22 @@ func BenchmarkEncodeDataset(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeDataset decodes one snapshot: a vehicle-year, and a
-// study-length (1 369-day) series, the size a cold forecast faults in.
+// BenchmarkDecodeDataset decodes one snapshot: a vehicle-year and a
+// study-length (1 369-day) series of five channels, and the study
+// fleet's shape, 1 369 days of ten channels — the snapshot a cold
+// forecast faults in.
 func BenchmarkDecodeDataset(b *testing.B) {
-	for _, days := range []int{365, 1369} {
-		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
-			enc, err := EncodeDataset(synthDataset(0, days))
+	for _, tc := range []struct {
+		name     string
+		days     int
+		channels []string
+	}{
+		{"days=365", 365, benchChannels},
+		{"days=1369", 1369, benchChannels},
+		{"days=1369/channels=10", 1369, studyChannels},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			enc, err := EncodeDataset(synthChannels(0, tc.days, tc.channels))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"strings"
 	"time"
 
@@ -55,11 +54,7 @@ func EncodeDataset(d *etl.VehicleDataset) ([]byte, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("fstore: encode %q: %w", d.VehicleID, err)
 	}
-	names := make([]string, 0, len(d.Channels))
-	for name := range d.Channels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := d.ChannelNames()
 
 	cols := []relational.Column{
 		{Name: colHours, Type: relational.Float},
@@ -192,17 +187,17 @@ func DecodeDataset(data []byte) (*etl.VehicleDataset, error) {
 }
 
 // datasetFromTable reassembles the in-memory dataset from the decoded
-// snapshot table.
+// snapshot table, taking its columns over without copying them.
 func datasetFromTable(vehicleID, modelID, country string, vtype fleet.Type, start time.Time, flags byte, tab *relational.Table, tableOff int) (*etl.VehicleDataset, error) {
-	hours, err := tab.FloatCol(colHours)
+	hours, err := relational.TakeCol[float64](tab, colHours)
 	if err != nil {
 		return nil, formatErrf(tableOff, relational.ErrCorrupt, "snapshot table: %v", err)
 	}
-	observed, err := tab.BoolCol(colObserved)
+	observed, err := relational.TakeCol[bool](tab, colObserved)
 	if err != nil {
 		return nil, formatErrf(tableOff, relational.ErrCorrupt, "snapshot table: %v", err)
 	}
-	dates, err := tab.TimeCol(colDate)
+	dates, err := relational.TakeCol[time.Time](tab, colDate)
 	if err != nil {
 		return nil, formatErrf(tableOff, relational.ErrCorrupt, "snapshot table: %v", err)
 	}
@@ -221,7 +216,7 @@ func datasetFromTable(vehicleID, modelID, country string, vtype fleet.Type, star
 		if !ok {
 			continue
 		}
-		vals, err := tab.FloatCol(c.Name)
+		vals, err := relational.TakeCol[float64](tab, c.Name)
 		if err != nil {
 			return nil, formatErrf(tableOff, relational.ErrCorrupt, "snapshot table: %v", err)
 		}

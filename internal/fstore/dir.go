@@ -28,6 +28,11 @@ const (
 	snapshotExt  = ".vds"
 )
 
+// manifestFormatVersion is the current manifest.json version. It moves
+// independently of DatasetFormatVersion: version 2 changed only what
+// the fingerprint field means (see migrate.go), not the snapshots.
+const manifestFormatVersion = 2
+
 // ErrNoManifest is returned by Load on a directory that has never been
 // saved to — the caller's signal to generate or ingest a fleet and
 // Save it.
@@ -70,11 +75,14 @@ func corruptErr(file string, err error) error {
 type ManifestEntry struct {
 	ID   string `json:"id"`
 	File string `json:"file"`
-	// Fingerprint is the dataset's etl fingerprint as 16 hex digits —
-	// the data half of forecast-cache keys. Load recomputes it from
-	// the decoded snapshot and fails loudly on drift, which is what
-	// makes a fingerprint read from the manifest trustworthy for cache
-	// warm-starting.
+	// Fingerprint is the snapshot dataset's etl fingerprint
+	// (etl.VehicleDataset.Fingerprint, before any pending log record is
+	// replayed) as 16 hex digits — the data half of forecast-cache
+	// keys. Every load recomputes it from the decoded snapshot and
+	// fails loudly on drift, which is what makes a fingerprint read
+	// from the manifest trustworthy for cache warm-starting. A
+	// format_version 1 manifest holds the older FNV-1a fingerprint and
+	// is migrated once, by Open (migrate.go).
 	Fingerprint string `json:"fingerprint"`
 	Days        int    `json:"days"`
 	// AppliedSeq is the highest append-log sequence number already
@@ -133,7 +141,10 @@ type Dir struct {
 // parsed so appends continue the sequence and per-vehicle lazy loads
 // replay without rescanning); a torn or corrupt log — or a log record
 // naming a vehicle the manifest does not list — fails here, loudly,
-// rather than at the first append.
+// rather than at the first append. A format_version 1 manifest is
+// migrated to version 2 here, once: every snapshot is verified under
+// the old fingerprint definition, and one that fails fails Open with a
+// *CorruptError naming its file.
 func Open(path string) (*Dir, error) {
 	if err := os.MkdirAll(path, 0o755); err != nil {
 		return nil, fmt.Errorf("fstore: open %s: %w", path, err)
@@ -276,7 +287,7 @@ func (d *Dir) Save(datasets []*etl.VehicleDataset) (*Manifest, error) {
 	sorted := append([]*etl.VehicleDataset(nil), datasets...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].VehicleID < sorted[j].VehicleID })
 
-	m := &Manifest{FormatVersion: DatasetFormatVersion}
+	m := &Manifest{FormatVersion: manifestFormatVersion}
 	var bytesWritten int
 	seen := map[string]bool{}
 	for _, ds := range sorted {
@@ -366,7 +377,7 @@ func (d *Dir) SaveVehicle(ds *etl.VehicleDataset) error {
 		Days:        ds.Len(),
 		AppliedSeq:  d.lastSeq,
 	}
-	m := &Manifest{FormatVersion: d.manifest.FormatVersion}
+	m := &Manifest{FormatVersion: manifestFormatVersion}
 	replaced := false
 	for _, e := range d.manifest.Vehicles {
 		if e.ID == ds.VehicleID {
@@ -405,6 +416,8 @@ func (d *Dir) writeManifestLocked(m *Manifest) (int, error) {
 	return len(data), nil
 }
 
+// readManifest reads manifest.json, migrating a version-1 manifest in
+// place. Caller holds d.mu (or is constructing d).
 func (d *Dir) readManifest() (*Manifest, error) {
 	path := filepath.Join(d.path, manifestName)
 	data, err := os.ReadFile(path)
@@ -418,10 +431,13 @@ func (d *Dir) readManifest() (*Manifest, error) {
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, corruptErr(path, fmt.Errorf("%w: manifest: %v", relational.ErrCorrupt, err))
 	}
-	if m.FormatVersion != DatasetFormatVersion {
-		return nil, corruptErr(path, fmt.Errorf("%w: manifest format_version %d, want %d", relational.ErrBadVersion, m.FormatVersion, DatasetFormatVersion))
+	switch m.FormatVersion {
+	case manifestFormatVersion:
+		return m, nil
+	case manifestV1:
+		return d.migrateV1(m)
 	}
-	return m, nil
+	return nil, corruptErr(path, fmt.Errorf("%w: manifest format_version %d, want %d", relational.ErrBadVersion, m.FormatVersion, manifestFormatVersion))
 }
 
 // Manifest returns the directory's current manifest (nil before the
@@ -433,31 +449,42 @@ func (d *Dir) Manifest() *Manifest {
 }
 
 // decodeVehicleFile decodes one vehicle's snapshot and verifies it
-// against its manifest entry: the embedded vehicle ID, the recomputed
-// dataset fingerprint (so a fingerprint read from the manifest is
-// proof the bytes on disk still mean what they meant when cached
-// artifacts were keyed on them) and the day count. It touches only the
-// one file, so concurrent callers need no Dir lock.
+// against its manifest entry: the embedded vehicle ID, the day count
+// and the recomputed dataset fingerprint (so a fingerprint read from
+// the manifest is proof the bytes on disk still mean what they meant
+// when cached artifacts were keyed on them). It touches only the one
+// file, so concurrent callers need no Dir lock.
 func decodeVehicleFile(dirPath string, e ManifestEntry) (*etl.VehicleDataset, error) {
-	path := filepath.Join(dirPath, e.File)
-	data, err := os.ReadFile(path)
+	ds, path, err := readVehicleFile(dirPath, e)
 	if err != nil {
-		return nil, fmt.Errorf("fstore: load %q: %w", e.ID, err)
-	}
-	ds, err := DecodeDataset(data)
-	if err != nil {
-		return nil, corruptErr(path, err)
-	}
-	if ds.VehicleID != e.ID {
-		return nil, corruptErr(path, fmt.Errorf("%w: snapshot is for vehicle %q, manifest says %q", ErrMismatch, ds.VehicleID, e.ID))
+		return nil, err
 	}
 	if got := fmt.Sprintf("%016x", ds.Fingerprint()); got != e.Fingerprint {
 		return nil, corruptErr(path, fmt.Errorf("%w: dataset fingerprint %s, manifest says %s", ErrMismatch, got, e.Fingerprint))
 	}
-	if ds.Len() != e.Days {
-		return nil, corruptErr(path, fmt.Errorf("%w: snapshot has %d days, manifest says %d", ErrMismatch, ds.Len(), e.Days))
-	}
 	return ds, nil
+}
+
+// readVehicleFile decodes one vehicle's snapshot and checks its vehicle
+// ID and day count against the manifest entry; it returns the file's
+// path for error reports.
+func readVehicleFile(dirPath string, e ManifestEntry) (*etl.VehicleDataset, string, error) {
+	path := filepath.Join(dirPath, e.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, path, fmt.Errorf("fstore: load %q: %w", e.ID, err)
+	}
+	ds, err := DecodeDataset(data)
+	if err != nil {
+		return nil, path, corruptErr(path, err)
+	}
+	if ds.VehicleID != e.ID {
+		return nil, path, corruptErr(path, fmt.Errorf("%w: snapshot is for vehicle %q, manifest says %q", ErrMismatch, ds.VehicleID, e.ID))
+	}
+	if ds.Len() != e.Days {
+		return nil, path, corruptErr(path, fmt.Errorf("%w: snapshot has %d days, manifest says %d", ErrMismatch, ds.Len(), e.Days))
+	}
+	return ds, path, nil
 }
 
 // replayPending folds a vehicle's unapplied log records into its

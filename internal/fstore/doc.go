@@ -13,7 +13,9 @@
 //     Fingerprint), the value forecast-cache keys are derived from —
 //     equal fingerprints across a restart mean every previously
 //     computed cache key is still valid, which is what lets the server
-//     warm-start without refitting or invalidation;
+//     warm-start without refitting or invalidation (Open migrates a
+//     format_version 1 manifest, whose fingerprints use an older
+//     definition, once);
 //   - append.log, a replayable record log of incremental days
 //     (per-vehicle appends land here between snapshots and are folded
 //     into the dataset at load; Save compacts the log away).

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,40 +19,35 @@ import (
 	"vup/internal/relational"
 )
 
-// specExamples parses FORMAT.md and returns label → bytes for every
-// fenced block opened with "```hex spec:<label>". Whitespace inside a
-// block is insignificant.
-func specExamples(t *testing.T) map[string][]byte {
+// specBlocks parses FORMAT.md and returns label → text for every
+// fenced block opened with "```<kind> spec:<label>", with the block's
+// lines joined by spaces.
+func specBlocks(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open("FORMAT.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	out := map[string][]byte{}
+	out := map[string]string{}
 	var label string
-	var hexText strings.Builder
+	var text strings.Builder
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := sc.Text()
 		switch {
-		case label == "" && strings.HasPrefix(line, "```hex spec:"):
-			label = strings.TrimPrefix(line, "```hex spec:")
-			hexText.Reset()
+		case label == "" && strings.HasPrefix(line, "```") && strings.Contains(line, " spec:"):
+			_, label, _ = strings.Cut(line, " spec:")
+			text.Reset()
 		case label != "" && strings.HasPrefix(line, "```"):
-			clean := strings.Join(strings.Fields(hexText.String()), "")
-			data, err := hex.DecodeString(clean)
-			if err != nil {
-				t.Fatalf("block %q: bad hex: %v", label, err)
-			}
 			if _, dup := out[label]; dup {
 				t.Fatalf("duplicate spec block %q", label)
 			}
-			out[label] = data
+			out[label] = text.String()
 			label = ""
 		case label != "":
-			hexText.WriteString(line)
-			hexText.WriteString(" ")
+			text.WriteString(line)
+			text.WriteString(" ")
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -59,6 +55,24 @@ func specExamples(t *testing.T) map[string][]byte {
 	}
 	if label != "" {
 		t.Fatalf("unterminated spec block %q", label)
+	}
+	return out
+}
+
+// specExamples returns label → bytes for every "```hex spec:<label>"
+// block of FORMAT.md. Whitespace inside a block is insignificant.
+func specExamples(t *testing.T) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for label, text := range specBlocks(t) {
+		if label == "fingerprint" {
+			continue // words, not bytes: TestSpecExampleFingerprint
+		}
+		data, err := hex.DecodeString(strings.Join(strings.Fields(text), ""))
+		if err != nil {
+			t.Fatalf("block %q: bad hex: %v", label, err)
+		}
+		out[label] = data
 	}
 	return out
 }
@@ -150,4 +164,66 @@ func TestSpecExampleLogRecord(t *testing.T) {
 	if !bytes.Equal(reenc, data) {
 		t.Errorf("re-encoding the documented record drifts from FORMAT.md §6.3")
 	}
+}
+
+// TestSpecExampleFingerprint recomputes FORMAT.md §6.4: the documented
+// words, folded by the §3.1 rules with the documented constants, give
+// the documented fingerprint, and so does etl's Fingerprint of the
+// §6.2 dataset.
+func TestSpecExampleFingerprint(t *testing.T) {
+	text, ok := specBlocks(t)["fingerprint"]
+	if !ok {
+		t.Fatal("FORMAT.md has no spec:fingerprint block")
+	}
+	const seed, mul = 0x9e3779b97f4a7c15, 0xbf58476d1ce4e5b9
+	mix := func(h, w uint64) uint64 {
+		x := (h ^ w) * mul
+		return x ^ x>>32
+	}
+	fields := strings.Fields(text)
+	h, r := uint64(seed), uint64(0)
+	inRow := false
+	var want uint64
+	for i := 0; i < len(fields); i++ {
+		switch tok := fields[i]; tok {
+		case "header", "row", "fingerprint":
+			if inRow {
+				h = mix(h, r)
+			}
+			inRow, r = tok == "row", seed
+			if tok == "fingerprint" {
+				i++
+				want = parseHexWord(t, fields[i])
+			}
+		default:
+			w := parseHexWord(t, tok)
+			if inRow {
+				r = mix(r, w)
+			} else {
+				h = mix(h, w)
+			}
+		}
+	}
+	if h != want {
+		t.Errorf("documented words fold to %016x, FORMAT.md §6.4 says %016x", h, want)
+	}
+	d, err := DecodeDataset(specExamples(t)["vupd-dataset"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Fingerprint(); got != want {
+		t.Errorf("Fingerprint of the §6.2 dataset is %016x, FORMAT.md §6.4 says %016x", got, want)
+	}
+	if got := fingerprintV1(d); got != 0xfb400cec4c982227 {
+		t.Errorf("version 1 fingerprint of the §6.2 dataset is %016x, FORMAT.md §6.4 says fb400cec4c982227", got)
+	}
+}
+
+func parseHexWord(t *testing.T, s string) uint64 {
+	t.Helper()
+	w, err := strconv.ParseUint(s, 16, 64)
+	if err != nil {
+		t.Fatalf("spec:fingerprint word %q: %v", s, err)
+	}
+	return w
 }

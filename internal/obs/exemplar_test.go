@@ -9,10 +9,18 @@ func TestHistogramExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramWithExemplars("latency_seconds", "Latency.", []float64{0.1, 1}, "route")
 	series := h.With("/v1/vehicles")
-	series.ObserveExemplar(0.05, "00000000000000aa")
-	series.ObserveExemplar(0.5, "00000000000000bb")
-	series.ObserveExemplar(0.7, "00000000000000cc") // same bucket: last writer wins
-	series.Observe(5)                               // +Inf bucket, no exemplar
+	for _, o := range []struct {
+		v     float64
+		trace string
+	}{
+		{0.05, "00000000000000aa"},
+		{0.5, "00000000000000bb"},
+		{0.7, "00000000000000cc"}, // same bucket: last writer wins
+	} {
+		series.Observe(o.v)
+		series.ObserveExemplar(o.v, o.trace)
+	}
+	series.Observe(5) // +Inf bucket, no exemplar
 
 	fams := r.Gather()
 	s, ok := FindSample(fams, "latency_seconds", Label{Name: "route", Value: "/v1/vehicles"})
@@ -48,24 +56,29 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 }
 
-func TestExemplarEmptyTraceIDDegradesToObserve(t *testing.T) {
+// TestExemplarOnlySetsExemplar pins ObserveExemplar as a pure setter:
+// it counts nothing, and an empty trace ID stores nothing.
+func TestExemplarOnlySetsExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.HistogramWithExemplars("latency_seconds", "Latency.", []float64{1}).With()
+	h.ObserveExemplar(0.5, "00000000000000aa")
 	h.ObserveExemplar(0.5, "")
-	if h.Count() != 1 {
-		t.Fatalf("count %d", h.Count())
+	if h.Count() != 0 {
+		t.Fatalf("count %d, want 0: ObserveExemplar must not count", h.Count())
 	}
 	_, _, buckets := h.snapshot()
-	for _, b := range buckets {
-		if b.Exemplar != nil {
-			t.Fatalf("empty trace ID stored exemplar %+v", b.Exemplar)
-		}
+	if e := buckets[0].Exemplar; e == nil || e.TraceID != "00000000000000aa" {
+		t.Fatalf("bucket 0 exemplar = %+v, want aa (an empty trace ID replaces nothing)", e)
+	}
+	if buckets[1].Exemplar != nil {
+		t.Fatalf("+Inf bucket has exemplar %+v", buckets[1].Exemplar)
 	}
 }
 
 func TestPlainHistogramIgnoresExemplars(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("latency_seconds", "Latency.", []float64{1}).With()
+	h.Observe(0.5)
 	h.ObserveExemplar(0.5, "00000000000000aa") // family registered without exemplars
 	if h.Count() != 1 {
 		t.Fatalf("count %d", h.Count())

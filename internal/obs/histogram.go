@@ -23,8 +23,8 @@ type Exemplar struct {
 // scrape-time trade-off and fine for monitoring.
 //
 // Families registered with HistogramWithExemplars additionally retain
-// the last exemplar-carrying observation per bucket (one atomic
-// pointer swap; last-writer-wins is the standard exemplar semantics).
+// one exemplar per bucket, set by ObserveExemplar (one atomic pointer
+// swap; last-writer-wins is the standard exemplar semantics).
 type Histogram struct {
 	upper     []float64       // sorted finite upper bounds
 	counts    []atomic.Uint64 // len(upper)+1; the last is the +Inf bucket
@@ -59,12 +59,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one value and, when the family was
-// registered with HistogramWithExemplars and traceID is non-empty,
-// replaces the containing bucket's exemplar. An empty traceID (e.g.
-// tracing disabled for the request) degrades to a plain Observe.
+// ObserveExemplar makes trace traceID the exemplar of the bucket v
+// falls in, when the family was registered with HistogramWithExemplars
+// and traceID is non-empty. It does not count v: the observation
+// itself is recorded by Observe, and the exemplar is attached only once
+// the trace it names is known to be kept, so that every exemplar
+// resolves to a stored trace.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
 	if h.exemplars == nil || traceID == "" {
 		return
 	}

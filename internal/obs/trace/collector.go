@@ -130,7 +130,9 @@ func (c *Collector) newTraceID() string {
 
 // submit runs the tail-sampling policy on one completed trace and
 // stores it in the ring buffer when kept: errors always, slow roots
-// always, the rest with probability SampleRate.
+// always, the rest with probability SampleRate. A kept trace's spans
+// become the exemplars of their span_seconds buckets; a dropped trace
+// leaves none, since its ID would resolve to nothing.
 func (c *Collector) submit(a *activeTrace, root string, spans []SpanData, dur time.Duration, errMsg string) {
 	c.mu.Lock()
 	decision := ""
@@ -167,6 +169,9 @@ func (c *Collector) submit(a *activeTrace, root string, spans []SpanData, dur ti
 	}
 	entries := c.count
 	c.mu.Unlock()
+	for _, sd := range spans {
+		histogramFor(sd.Name).ObserveExemplar(sd.Duration.Seconds(), a.traceID)
+	}
 	tracesKept.With(decision).Inc()
 	traceStoreEntries.With().Set(float64(entries))
 }

@@ -8,8 +8,9 @@
 //
 // Spans are also the process's only stage timer. Every span times
 // itself whether or not a trace is being collected, and End records
-// the duration into the span_seconds{name} histogram on obs.Default,
-// with the trace ID as the bucket's exemplar when the span is traced.
+// the duration into the span_seconds{name} histogram on obs.Default.
+// When the tail sampler keeps a trace, each of its spans becomes its
+// bucket's exemplar, so an exemplar always names a stored trace.
 // The histogram answers "are fits slow"; a trace answers "which
 // vehicle, which window, which config". Trace IDs are drawn from
 // internal/randx, so a seeded Collector emits a reproducible ID stream
@@ -67,7 +68,7 @@ func monotonic() time.Duration { return time.Since(epoch) }
 // the label stays low-cardinality.
 var spanSeconds = obs.Default.HistogramWithExemplars(
 	"span_seconds",
-	"Span durations by span name, traced or not; a bucket's exemplar is the trace ID of its last traced span.",
+	"Span durations by span name, traced or not; a bucket's exemplar is the trace ID of its last kept trace.",
 	obs.DurationBuckets, "name")
 
 // spanHists caches the span_seconds child of each name seen so far, so
@@ -195,9 +196,7 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	dur := monotonic() - s.start
-	traceID := ""
 	if t := s.t; t != nil {
-		traceID = t.tr.traceID
 		t.mu.Lock()
 		t.ended = true
 		attrs, errMsg := t.attrs, t.err
@@ -212,7 +211,7 @@ func (s *Span) End() {
 			Err:      errMsg,
 		}, t.parentID == "")
 	}
-	histogramFor(s.name).ObserveExemplar(dur.Seconds(), traceID)
+	histogramFor(s.name).Observe(dur.Seconds())
 }
 
 // activeTrace accumulates the finished spans of one trace until its

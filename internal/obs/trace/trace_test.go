@@ -341,3 +341,67 @@ func TestSpanSeconds(t *testing.T) {
 		t.Fatalf("trace stored %v with a double-ended child, want 2 spans", ok)
 	}
 }
+
+// TestExemplarsNameOnlyKeptTraces checks that span_seconds exemplars
+// are attached only for traces the tail sampler keeps: a dropped trace
+// still counts its spans but changes no exemplar, and a trace kept as
+// an error becomes the exemplar of its spans' buckets and resolves
+// through Get. The histograms are process-wide, so the test compares
+// against the exemplars present before it ran.
+func TestExemplarsNameOnlyKeptTraces(t *testing.T) {
+	c := NewCollector(Options{SampleRate: -1, SlowThreshold: time.Hour, Seed: 3})
+	run := func(fail bool) string {
+		ctx, root := c.StartTrace(context.Background(), "test.exemplar.root")
+		_, child := Start(ctx, "test.exemplar.child")
+		if fail {
+			child.SetError(errors.New("boom"))
+		}
+		child.End()
+		root.End()
+		return root.TraceID()
+	}
+	exemplars := func(name string) []string {
+		var ids []string
+		for _, b := range spanSample(name).Buckets {
+			if b.Exemplar != nil {
+				ids = append(ids, b.Exemplar.TraceID)
+			}
+		}
+		return ids
+	}
+	names := []string{"test.exemplar.root", "test.exemplar.child"}
+	before := map[string]string{}
+	for _, name := range names {
+		before[name] = fmt.Sprint(exemplars(name))
+	}
+
+	count := spanSample("test.exemplar.child").Count
+	for i := 0; i < 5; i++ {
+		run(false)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("collector kept %d clean fast traces at SampleRate -1", c.Len())
+	}
+	if got := spanSample("test.exemplar.child").Count - count; got != 5 {
+		t.Fatalf("dropped traces counted %d child spans, want 5", got)
+	}
+	for _, name := range names {
+		if got := fmt.Sprint(exemplars(name)); got != before[name] {
+			t.Fatalf("span_seconds{name=%q} exemplars went from %s to %s on dropped traces", name, before[name], got)
+		}
+	}
+
+	kept := run(true)
+	if _, ok := c.Get(kept); !ok {
+		t.Fatalf("errored trace %s was not kept", kept)
+	}
+	for _, name := range names {
+		found := false
+		for _, id := range exemplars(name) {
+			found = found || id == kept
+		}
+		if !found {
+			t.Errorf("span_seconds{name=%q} has no exemplar naming the kept trace %s", name, kept)
+		}
+	}
+}

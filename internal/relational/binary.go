@@ -200,17 +200,43 @@ func (r *binReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// timeCell reads one 12-byte Time cell (i64 seconds, i32 nanoseconds).
-func (r *binReader) timeCell() (time.Time, error) {
-	sec, err := r.u64()
-	if err != nil {
-		return time.Time{}, err
+// cells returns the next rows fixed-width cells of width w as one
+// slice, bounds-checked once. When the input ends first it returns the
+// whole cells that fit and the truncation error the first cell that
+// does not fit raises, at the offset where reading it fails: a Time
+// cell is read as its seconds word, then its nanoseconds, so one cut
+// after the seconds fails 8 bytes into the cell.
+func (r *binReader) cells(rows, w int) ([]byte, error) {
+	if n := rows * w; len(r.data)-r.off >= n {
+		b := r.data[r.off : r.off+n]
+		r.off += n
+		return b, nil
 	}
-	nsec, err := r.u32()
-	if err != nil {
-		return time.Time{}, err
+	fit := (len(r.data) - r.off) / w
+	b := r.data[r.off : r.off+fit*w]
+	r.off += fit * w
+	if w == 12 && len(r.data)-r.off >= 8 {
+		r.off += 8
+		return b, r.need(4)
 	}
-	return time.Unix(int64(sec), int64(int32(nsec))).UTC(), nil
+	return b, r.need(min(w, 8))
+}
+
+// clearNulls sets the cells whose presence bit is clear to zero, the
+// value a null cell decodes as. Encoders write no nulls, so on their
+// files this is one pass over the bitmap bytes, all 0xFF but the
+// last.
+func clearNulls[T any](vals []T, bitmap []byte, zero T) {
+	for i, bits := range bitmap {
+		if bits == 0xFF {
+			continue
+		}
+		for row := 8 * i; row < min(8*i+8, len(vals)); row++ {
+			if bits&(1<<(row&7)) == 0 {
+				vals[row] = zero
+			}
+		}
+	}
 }
 
 // DecodeTable parses a VUPT payload produced by EncodeTable. It
@@ -321,31 +347,31 @@ func DecodeTable(data []byte) (*Table, error) {
 			// leaves them, so an empty table round-trips DeepEqual.
 			continue
 		}
-		present := func(row int) bool { return bitmap[row/8]&(1<<(row%8)) != 0 }
+		// Fixed-width columns are bounds-checked once and decoded in
+		// a tight loop over every cell; clearNulls then resets the
+		// null cells (bitmap bit clear) to the type's zero value.
 		switch c.Type {
 		case Float:
-			vals := make([]float64, rows)
-			for row := 0; row < rows; row++ {
-				bits, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				if present(row) {
-					vals[row] = math.Float64frombits(bits)
-				}
+			cells, err := r.cells(rows, 8)
+			if err != nil {
+				return nil, err
 			}
+			vals := make([]float64, rows)
+			for row := range vals {
+				vals[row] = math.Float64frombits(binary.LittleEndian.Uint64(cells[8*row : 8*row+8]))
+			}
+			clearNulls(vals, bitmap, 0)
 			t.floats[i] = vals
 		case Int:
-			vals := make([]int64, rows)
-			for row := 0; row < rows; row++ {
-				v, err := r.u64()
-				if err != nil {
-					return nil, err
-				}
-				if present(row) {
-					vals[row] = int64(v)
-				}
+			cells, err := r.cells(rows, 8)
+			if err != nil {
+				return nil, err
 			}
+			vals := make([]int64, rows)
+			for row := range vals {
+				vals[row] = int64(binary.LittleEndian.Uint64(cells[8*row : 8*row+8]))
+			}
+			clearNulls(vals, bitmap, 0)
 			t.ints[i] = vals
 		case String:
 			vals := make([]string, rows)
@@ -358,40 +384,41 @@ func DecodeTable(data []byte) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				if present(row) {
-					vals[row] = string(b)
-				}
+				vals[row] = string(b)
 			}
+			clearNulls(vals, bitmap, "")
 			t.strings[i] = vals
 		case Bool:
-			vals := make([]bool, rows)
-			for row := 0; row < rows; row++ {
-				cellOff := r.off
-				v, err := r.u8()
-				if err != nil {
-					return nil, err
-				}
+			cellsOff := r.off
+			cells, truncated := r.cells(rows, 1)
+			// A bad byte before the cut is the first fault.
+			for row, v := range cells {
 				if v > 1 {
-					return nil, formatErrf(cellOff, ErrCorrupt, "column %q row %d: bool byte %d", c.Name, row, v)
-				}
-				if present(row) {
-					vals[row] = v == 1
+					return nil, formatErrf(cellsOff+row, ErrCorrupt, "column %q row %d: bool byte %d", c.Name, row, v)
 				}
 			}
+			if truncated != nil {
+				return nil, truncated
+			}
+			vals := make([]bool, rows)
+			for row, v := range cells {
+				vals[row] = v == 1
+			}
+			clearNulls(vals, bitmap, false)
 			t.bools[i] = vals
 		case Time:
-			vals := make([]time.Time, rows)
-			for row := 0; row < rows; row++ {
-				v, err := r.timeCell()
-				if err != nil {
-					return nil, err
-				}
-				if present(row) {
-					vals[row] = v
-				} else {
-					vals[row] = time.Unix(0, 0).UTC()
-				}
+			cells, err := r.cells(rows, 12)
+			if err != nil {
+				return nil, err
 			}
+			vals := make([]time.Time, rows)
+			for row := range vals {
+				cell := cells[12*row : 12*row+12]
+				sec := int64(binary.LittleEndian.Uint64(cell))
+				nsec := int32(binary.LittleEndian.Uint32(cell[8:]))
+				vals[row] = time.Unix(sec, int64(nsec)).UTC()
+			}
+			clearNulls(vals, bitmap, time.Unix(0, 0).UTC())
 			t.times[i] = vals
 		}
 	}

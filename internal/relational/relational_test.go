@@ -308,3 +308,24 @@ func TestCSVRoundTripRandom(t *testing.T) {
 		}
 	}
 }
+
+func TestTakeColSharesTheColumn(t *testing.T) {
+	tab := NewTable(MustSchema(Column{Name: "h", Type: Float}, Column{Name: "ok", Type: Bool}))
+	if err := tab.Append(1.5, true); err != nil {
+		t.Fatal(err)
+	}
+	h, err := TakeCol[float64](tab, "h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h[0] = 2
+	if v, _ := tab.At(0, "h"); v != 2.0 {
+		t.Errorf("TakeCol returned a copy: table still reads %v", v)
+	}
+	if _, err := TakeCol[float64](tab, "ok"); !errors.Is(err, ErrTypeClash) {
+		t.Errorf("TakeCol[float64] of a Bool column: %v, want ErrTypeClash", err)
+	}
+	if _, err := TakeCol[bool](tab, "missing"); err == nil {
+		t.Error("TakeCol of a missing column succeeded")
+	}
+}

@@ -191,6 +191,36 @@ func (t *Table) BoolCol(name string) ([]bool, error) {
 	return append([]bool(nil), t.bools[i]...), nil
 }
 
+// TakeCol returns the named column's own backing slice, not a copy:
+// the caller takes the column over and must not use t afterwards. It
+// exists for decoders that build a Table only to turn its columns into
+// another structure (fstore's snapshot decode). T must be the Go type
+// of the column's type, or TakeCol fails with ErrTypeClash.
+func TakeCol[T float64 | int64 | string | bool | time.Time](t *Table, name string) ([]T, error) {
+	i, c, err := t.schema.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	var col any
+	switch c.Type {
+	case Float:
+		col = t.floats[i]
+	case Int:
+		col = t.ints[i]
+	case String:
+		col = t.strings[i]
+	case Bool:
+		col = t.bools[i]
+	case Time:
+		col = t.times[i]
+	}
+	vals, ok := col.([]T)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q is %s, want %T", ErrTypeClash, name, c.Type, *new(T))
+	}
+	return vals, nil
+}
+
 // Row materializes row i as a Value slice in schema order.
 func (t *Table) Row(i int) ([]Value, error) {
 	if i < 0 || i >= t.rows {

@@ -56,8 +56,9 @@ func benchAPI(b *testing.B) *API {
 
 // BenchmarkAcquire measures the store's per-request hot path, Acquire
 // plus release of a resident vehicle, from parallel goroutines: on an
-// eager store, and on a lazy store with no budget whose vehicles have
-// all been faulted in. Both take the same pinning path.
+// eager store, on a lazy store with no budget whose vehicles have all
+// been faulted in (both take the same pinning path), and beside a
+// concurrent stream of faults (hit-beside-fault).
 func BenchmarkAcquire(b *testing.B) {
 	datasets := benchDatasets(b)
 	eager, err := NewStore(datasets)
@@ -100,6 +101,90 @@ func BenchmarkAcquire(b *testing.B) {
 			})
 		})
 	}
+	b.Run("hit-beside-fault", benchHitBesideFault)
+}
+
+// benchHitBesideFault is BenchmarkAcquire/hit-beside-fault: parallel
+// hits on two pinned resident vehicles while one goroutine faults
+// study-length (1 369-day) vehicles in and out under a budget too
+// small to keep them. Every fault's insert takes the store-wide lock
+// the hits also take, so a fault that does O(dataset) work under that
+// lock stalls every hit that arrives meanwhile, which shows in ns/op,
+// the hits' throughput. The faulter's loads per hit are reported as
+// faults/op: a cheaper fault also means more of them beside the hits.
+func benchHitBesideFault(b *testing.B) {
+	f, err := fleet.Generate(fleet.Config{Units: 6, Days: 1369, Seed: 1, Start: fleet.StudyStart})
+	if err != nil {
+		b.Fatal(err)
+	}
+	usage := f.SimulateAll()
+	rng := randx.New(2)
+	var datasets []*etl.VehicleDataset
+	for _, u := range f.Units {
+		d, err := etl.FromUsage(u, usage[u.Vehicle.ID], rng.Split())
+		if err != nil {
+			b.Fatal(err)
+		}
+		datasets = append(datasets, d)
+	}
+	dir, err := fstore.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dir.Save(datasets); err != nil {
+		b.Fatal(err)
+	}
+	ids := dir.VehicleIDs()
+	store, err := NewLazyStore(ids, dir.LoadVehicle, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	hot, cold := ids[:2], ids[2:]
+	for _, id := range hot {
+		// Held for the whole benchmark: pinned vehicles are never evicted.
+		_, _, _, release, err := store.Acquire(ctx, id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer release()
+	}
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		faults := 0
+		for {
+			select {
+			case <-stop:
+				done <- faults
+				return
+			default:
+			}
+			_, _, _, release, err := store.Acquire(ctx, cold[faults%len(cold)])
+			if err != nil {
+				b.Error(err)
+			} else {
+				release()
+			}
+			faults++
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			_, _, _, release, err := store.Acquire(ctx, hot[i%len(hot)])
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			release()
+		}
+	})
+	b.StopTimer()
+	close(stop)
+	b.ReportMetric(float64(<-done)/float64(b.N), "faults/op")
 }
 
 // BenchmarkForecastColdVsWarm measures the tentpole win: a cold

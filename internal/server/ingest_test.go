@@ -22,6 +22,7 @@ import (
 	"vup/internal/etl"
 	"vup/internal/fstore"
 	"vup/internal/obs"
+	"vup/internal/obs/trace"
 )
 
 // ingestChannel, ingestReport and ingestRequest are the ingest wire
@@ -707,6 +708,57 @@ func BenchmarkIngestToVisible(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestIngestSpansNestUnderRoot pins the ingest trace shape: decode,
+// summarize and append are siblings under the request's root span, so
+// none of them is timed inside another.
+func TestIngestSpansNestUnderRoot(t *testing.T) {
+	datasets := persistDatasets(t)
+	store, err := NewStore(datasets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := New(store, persistConfig())
+	api.Traces = trace.NewCollector(trace.Options{Capacity: 4, SampleRate: 1, Seed: 1})
+	srv := httptest.NewServer(api.Handler())
+	defer srv.Close()
+
+	d := datasets[0]
+	reports := dayReports(d, d.Date(d.Len()-1).AddDate(0, 0, 1), 10)
+	resp := postJSON(t, srv.URL+"/v1/vehicles/"+d.VehicleID+"/ingest", ingestRequest{Reports: reports}, 200, nil)
+	traceID := resp.Header.Get("X-Trace-Id")
+	if traceID == "" {
+		t.Fatal("no X-Trace-Id header on traced ingest")
+	}
+	// The root span ends after the response is written; poll briefly.
+	var td *trace.TraceData
+	for deadline := time.Now().Add(2 * time.Second); td == nil && time.Now().Before(deadline); {
+		if got, ok := api.Traces.Get(traceID); ok {
+			td = got
+		} else {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	if td == nil {
+		t.Fatalf("trace %s never stored", traceID)
+	}
+	root := td.Spans[0]
+	if root.ParentID != "" {
+		t.Fatalf("first span %q has parent %q, want the root", root.Name, root.ParentID)
+	}
+	parents := map[string]string{}
+	for _, sp := range td.Spans {
+		parents[sp.Name] = sp.ParentID
+	}
+	for _, name := range []string{"ingest.decode", "ingest.summarize", "ingest.append"} {
+		parent, ok := parents[name]
+		if !ok {
+			t.Errorf("span %q missing from the ingest trace", name)
+		} else if parent != root.SpanID {
+			t.Errorf("span %q has parent %q, want the root %q", name, parent, root.SpanID)
 		}
 	}
 }

@@ -209,10 +209,11 @@ func (s *Store) faultLocked(ctx context.Context, v *vehicle) (*etl.VehicleDatase
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("server: load %q: %w", v.id, err)
 	}
+	fp, size := d.Fingerprint(), d.SizeBytes()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.insertLocked(v, d)
+	s.insertLocked(v, d, fp, size)
 	v.pins++
 	s.evictLocked(ctx)
 	return v.ds, v.fp, v.gen, nil
@@ -237,11 +238,13 @@ func (s *Store) unpin(v *vehicle) {
 	s.mu.Unlock()
 }
 
-// insertLocked makes d the resident dataset of v. An in-place update
-// keeps the entry's pins, which is how AppendContext and Put swap a
-// new dataset in without invalidating the pins in-flight readers hold
-// on the vehicle. Caller holds s.mu.
-func (s *Store) insertLocked(v *vehicle, d *etl.VehicleDataset) {
+// insertLocked makes d, with fingerprint fp and SizeBytes size, the
+// resident dataset of v. Callers compute both before they take s.mu,
+// so every critical section stays O(1) in the dataset's size. An
+// in-place update keeps the entry's pins, which is how AppendContext
+// and Put swap a new dataset in without invalidating the pins
+// in-flight readers hold on the vehicle. Caller holds s.mu.
+func (s *Store) insertLocked(v *vehicle, d *etl.VehicleDataset, fp uint64, size int64) {
 	if v.ds == nil {
 		s.resident++
 		s.lru.pushFront(v)
@@ -249,7 +252,7 @@ func (s *Store) insertLocked(v *vehicle, d *etl.VehicleDataset) {
 		s.residentBytes -= v.size
 		s.lru.moveToFront(v)
 	}
-	v.ds, v.fp, v.size = d, d.Fingerprint(), d.SizeBytes()
+	v.ds, v.fp, v.size = d, fp, size
 	s.residentBytes += v.size
 	s.updateGaugesLocked()
 }

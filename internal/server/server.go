@@ -104,7 +104,7 @@ func NewStore(datasets []*etl.VehicleDataset) (*Store, error) {
 		if err := d.Validate(); err != nil {
 			return nil, fmt.Errorf("server: dataset %q: %w", d.VehicleID, err)
 		}
-		s.insertLocked(s.vehicles[d.VehicleID], d)
+		s.insertLocked(s.vehicles[d.VehicleID], d, d.Fingerprint(), d.SizeBytes())
 	}
 	return s, nil
 }
@@ -200,13 +200,14 @@ func (s *Store) Put(d *etl.VehicleDataset) error {
 			return fmt.Errorf("server: persist %q: %w", d.VehicleID, err)
 		}
 	}
+	fp, size := d.Fingerprint(), d.SizeBytes()
 	s.mu.Lock()
 	v := s.vehicles[d.VehicleID]
 	if v == nil {
 		v = &vehicle{id: d.VehicleID}
 		s.vehicles[v.id] = v
 	}
-	s.insertLocked(v, d)
+	s.insertLocked(v, d, fp, size)
 	v.gen++
 	// A Put that persisted wrote a full snapshot; without a persister
 	// there is no disk state to be behind of either way.
@@ -285,8 +286,9 @@ func (s *Store) AppendContext(ctx context.Context, id string, days []fstore.Day,
 			return nil, 0, fmt.Errorf("server: persist %q: %w", id, err)
 		}
 	}
+	fp, size := grown.Fingerprint(), grown.SizeBytes()
 	s.mu.Lock()
-	s.insertLocked(v, grown)
+	s.insertLocked(v, grown, fp, size)
 	v.gen++
 	gen := v.gen
 	// After a logged append the snapshot on disk is behind the resident
