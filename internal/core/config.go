@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"vup/internal/canbus"
 	"vup/internal/regress"
@@ -120,14 +120,51 @@ func DefaultConfig() Config {
 // excluded: it only labels telemetry. ModelFactory is a function and
 // contributes presence alone — a caller that swaps factories between
 // otherwise-identical configs must key on more than the fingerprint.
+//
+// Every forecast computes it for its cache key, so it is appended
+// field by field rather than formatted.
 func (c Config) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "alg=%s|factory=%t|scenario=%s|strategy=%d|w=%d|k=%d|sel=%s|maxlag=%d",
-		c.Algorithm, c.ModelFactory != nil, c.Scenario, int(c.Strategy), c.W, c.K, c.Selection, c.MaxLag)
-	fmt.Fprintf(&b, "|ch=%s|ctx=%t|tch=%s|active=%g|stride=%d|minrows=%d",
-		strings.Join(c.Channels, ","), c.IncludeContext, strings.Join(c.TargetChannels, ","),
-		c.ActiveThreshold, c.Stride, c.MinTrainRows)
-	return b.String()
+	b := make([]byte, 0, 192)
+	b = append(b, "alg="...)
+	b = append(b, c.Algorithm...)
+	b = append(b, "|factory="...)
+	b = strconv.AppendBool(b, c.ModelFactory != nil)
+	b = append(b, "|scenario="...)
+	b = append(b, c.Scenario.String()...)
+	b = append(b, "|strategy="...)
+	b = strconv.AppendInt(b, int64(c.Strategy), 10)
+	b = append(b, "|w="...)
+	b = strconv.AppendInt(b, int64(c.W), 10)
+	b = append(b, "|k="...)
+	b = strconv.AppendInt(b, int64(c.K), 10)
+	b = append(b, "|sel="...)
+	b = append(b, c.Selection.String()...)
+	b = append(b, "|maxlag="...)
+	b = strconv.AppendInt(b, int64(c.MaxLag), 10)
+	b = append(b, "|ch="...)
+	b = appendJoined(b, c.Channels)
+	b = append(b, "|ctx="...)
+	b = strconv.AppendBool(b, c.IncludeContext)
+	b = append(b, "|tch="...)
+	b = appendJoined(b, c.TargetChannels)
+	b = append(b, "|active="...)
+	b = strconv.AppendFloat(b, c.ActiveThreshold, 'g', -1, 64)
+	b = append(b, "|stride="...)
+	b = strconv.AppendInt(b, int64(c.Stride), 10)
+	b = append(b, "|minrows="...)
+	b = strconv.AppendInt(b, int64(c.MinTrainRows), 10)
+	return string(b)
+}
+
+// appendJoined appends the elements of s separated by commas.
+func appendJoined(b []byte, s []string) []byte {
+	for i, v := range s {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, v...)
+	}
+	return b
 }
 
 // Selection chooses the lag-selection rule of the feature-selection

@@ -94,10 +94,33 @@ type ManifestEntry struct {
 type Manifest struct {
 	FormatVersion int             `json:"format_version"`
 	Vehicles      []ManifestEntry `json:"vehicles"`
+
+	byID map[string]int // position in Vehicles of each ID's first entry
 }
 
-// Entry returns the manifest entry for one vehicle ID.
+// indexed builds m's ID index and returns m. Dir indexes every
+// manifest it reads or writes before sharing it, and never changes
+// one afterwards.
+func (m *Manifest) indexed() *Manifest {
+	m.byID = make(map[string]int, len(m.Vehicles))
+	for i, e := range m.Vehicles {
+		if _, dup := m.byID[e.ID]; !dup {
+			m.byID[e.ID] = i
+		}
+	}
+	return m
+}
+
+// Entry returns the manifest entry for one vehicle ID: a map lookup
+// on a manifest Dir read or wrote, a scan on one built elsewhere.
 func (m *Manifest) Entry(id string) (ManifestEntry, bool) {
+	if m.byID != nil {
+		i, ok := m.byID[id]
+		if !ok {
+			return ManifestEntry{}, false
+		}
+		return m.Vehicles[i], true
+	}
 	for _, e := range m.Vehicles {
 		if e.ID == id {
 			return e, true
@@ -316,6 +339,7 @@ func (d *Dir) Save(datasets []*etl.VehicleDataset) (*Manifest, error) {
 		return nil, err
 	}
 	bytesWritten += n
+	m.indexed()
 
 	// The new snapshots embody every logged day: drop the log and any
 	// snapshot file the manifest no longer references.
@@ -378,16 +402,10 @@ func (d *Dir) SaveVehicle(ds *etl.VehicleDataset) error {
 		AppliedSeq:  d.lastSeq,
 	}
 	m := &Manifest{FormatVersion: manifestFormatVersion}
-	replaced := false
-	for _, e := range d.manifest.Vehicles {
-		if e.ID == ds.VehicleID {
-			m.Vehicles = append(m.Vehicles, entry)
-			replaced = true
-		} else {
-			m.Vehicles = append(m.Vehicles, e)
-		}
-	}
-	if !replaced {
+	m.Vehicles = append(make([]ManifestEntry, 0, len(d.manifest.Vehicles)+1), d.manifest.Vehicles...)
+	if i, ok := d.manifest.byID[ds.VehicleID]; ok {
+		m.Vehicles[i] = entry
+	} else {
 		m.Vehicles = append(m.Vehicles, entry)
 		sort.Slice(m.Vehicles, func(i, j int) bool { return m.Vehicles[i].ID < m.Vehicles[j].ID })
 	}
@@ -395,7 +413,7 @@ func (d *Dir) SaveVehicle(ds *etl.VehicleDataset) error {
 	if err != nil {
 		return err
 	}
-	d.manifest = m
+	d.manifest = m.indexed()
 	// The snapshot embodies every record logged so far for this
 	// vehicle (AppliedSeq = lastSeq): its pending slice is spent.
 	delete(d.pending, ds.VehicleID)
@@ -433,9 +451,12 @@ func (d *Dir) readManifest() (*Manifest, error) {
 	}
 	switch m.FormatVersion {
 	case manifestFormatVersion:
-		return m, nil
+		return m.indexed(), nil
 	case manifestV1:
-		return d.migrateV1(m)
+		if m, err = d.migrateV1(m); err != nil {
+			return nil, err
+		}
+		return m.indexed(), nil
 	}
 	return nil, corruptErr(path, fmt.Errorf("%w: manifest format_version %d, want %d", relational.ErrBadVersion, m.FormatVersion, manifestFormatVersion))
 }

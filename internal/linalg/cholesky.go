@@ -33,7 +33,24 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 		}
 		ljj := math.Sqrt(d)
 		l[j*n+j] = ljj
-		for i := j + 1; i < n; i++ {
+		// Rows below the pivot, four side by side so they share the
+		// loads of row j; each sum still runs over k in order.
+		i := j + 1
+		for ; i+3 < n; i += 4 {
+			l0, l1 := l[i*n:i*n+j], l[(i+1)*n:(i+1)*n+j]
+			l2, l3 := l[(i+2)*n:(i+2)*n+j], l[(i+3)*n:(i+3)*n+j]
+			s0, s1 := a.Data[i*n+j], a.Data[(i+1)*n+j]
+			s2, s3 := a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
+			for k, v := range lj {
+				s0 -= l0[k] * v
+				s1 -= l1[k] * v
+				s2 -= l2[k] * v
+				s3 -= l3[k] * v
+			}
+			l[i*n+j], l[(i+1)*n+j] = s0/ljj, s1/ljj
+			l[(i+2)*n+j], l[(i+3)*n+j] = s2/ljj, s3/ljj
+		}
+		for ; i < n; i++ {
 			li := l[i*n : i*n+j]
 			s := a.Data[i*n+j]
 			for k, v := range li {

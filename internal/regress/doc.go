@@ -1,8 +1,9 @@
 // Package regress implements, from scratch on the standard library,
 // the regression algorithms the study compares (Section 3): ordinary
-// least squares Linear Regression, Lasso (covariance-update coordinate
-// descent), ε-SVR with an RBF kernel (SMO solver), Gradient Boosting
-// over CART regression trees with LAD loss, and the two naive
+// least squares Linear Regression, Lasso (exact feature-sign search
+// behind a KKT certificate, with covariance-update coordinate descent
+// as the fallback), ε-SVR with an RBF kernel (SMO solver), Gradient
+// Boosting over CART regression trees with LAD loss, and the two naive
 // baselines — Last Value and Moving Average. Default hyper-parameters
 // are the paper's grid-search winners (Section 4.2, reproduced by the
 // tuning experiment in [vup/internal/experiments] via [GridSearch]).

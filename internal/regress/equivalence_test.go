@@ -114,36 +114,3 @@ func TestLinearMatchesReference(t *testing.T) {
 		})
 	}
 }
-
-// TestLassoMatchesReference holds the covariance-update Lasso to the
-// residual-update reference within 1e-9·(1+|β|).
-func TestLassoMatchesReference(t *testing.T) {
-	var cases []refDesignCase
-	x, y := seededDesign(11, 60, 8)
-	cases = append(cases, refDesignCase{name: "n>p", x: x, y: y})
-	x, y = seededDesign(12, 10, 25)
-	cases = append(cases, refDesignCase{name: "n<p", x: x, y: y})
-	x, y = seededDesign(13, 40, 6)
-	for _, row := range x {
-		row[1], row[4] = 0, 5
-	}
-	cases = append(cases, refDesignCase{name: "constant-columns", x: x, y: y})
-	cases = append(cases, referenceDesigns()...)
-
-	for _, tc := range cases {
-		for _, alpha := range []float64{0, 0.1, 10} {
-			wantCoef, wantIcpt := refLassoFit(tc.x, tc.y, alpha, 1000, 1e-6)
-			m := &Lasso{Alpha: alpha}
-			if err := m.Fit(tc.x, tc.y); err != nil {
-				t.Fatalf("%s α=%g: %v", tc.name, alpha, err)
-			}
-			got := append(m.Coefficients(), m.Intercept())
-			want := append(wantCoef, wantIcpt)
-			for j := range want {
-				if d := math.Abs(got[j] - want[j]); d > 1e-9*(1+math.Abs(want[j])) {
-					t.Errorf("%s α=%g: β[%d] = %v, reference %v (|Δ| %.3g)", tc.name, alpha, j, got[j], want[j], d)
-				}
-			}
-		}
-	}
-}

@@ -7,7 +7,7 @@ var (
 		coef, icpt, _, err := refLinearFit(x, y, 1e-8, true)
 		return coef, icpt, err
 	}
-	RefLassoFit   = refLassoFit
+	CheckLassoFit = checkLassoFit
 	SameBits      = sameBits
 	HasZeroColumn = func(x [][]float64) bool { return hasZeroColumn(x, len(x[0])) }
 )

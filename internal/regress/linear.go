@@ -95,16 +95,48 @@ func (m *Linear) ridge() float64 {
 // leaving the intercept column unpenalized. AᵀA and Aᵀy are
 // accumulated straight from the rows of x, each entry summed over the
 // rows in order; only the lower triangle of AᵀA is formed, which is
-// all the Cholesky factorization reads.
+// all the Cholesky factorization reads. Rows are taken two at a time,
+// so each Gram entry is loaded and stored once per pair, still adding
+// the first row's product before the second's. A zero design entry
+// skips its Gram row, as it would alone, so an infinite entry elsewhere
+// in the row never meets it.
 func ridgeSolve(x [][]float64, y []float64, lambda float64) ([]float64, error) {
 	q := len(x[0]) + 1
 	ata := linalg.NewMatrix(q, q)
 	g := ata.Data
 	aty := make([]float64, q)
-	a := make([]float64, q) // the current design row
-	a[0] = 1
-	for r, row := range x {
-		copy(a[1:], row)
+	ab := make([]float64, 2*q) // the current pair of design rows
+	a, b := ab[:q:q], ab[q:]
+	a[0], b[0] = 1, 1
+	r := 0
+	for ; r+1 < len(x); r += 2 {
+		copy(a[1:], x[r])
+		copy(b[1:], x[r+1])
+		ya, yb := y[r], y[r+1]
+		for i, ai := range a {
+			bi := b[i]
+			aty[i] += ai * ya
+			aty[i] += bi * yb
+			gi := g[i*q : i*q+i+1]
+			switch {
+			case ai != 0 && bi != 0:
+				aj, bj := a[:len(gi)], b[:len(gi)]
+				for j := range gi {
+					gi[j] = gi[j] + ai*aj[j] + bi*bj[j]
+				}
+			case ai != 0:
+				for j := range gi {
+					gi[j] += ai * a[j]
+				}
+			case bi != 0:
+				for j := range gi {
+					gi[j] += bi * b[j]
+				}
+			}
+		}
+	}
+	if r < len(x) {
+		copy(a[1:], x[r])
 		for i, ai := range a {
 			aty[i] += ai * y[r]
 			if ai == 0 {

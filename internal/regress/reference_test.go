@@ -10,8 +10,10 @@ import (
 // AᵀA formed by a transpose and a general matrix product, an
 // element-accessor Cholesky, a row-major Householder QR, and Lasso's
 // coordinate descent updating the full n-vector residual. The
-// production kernels must reproduce the linear fits bit for bit and
-// Lasso to rounding; equivalence_test.go holds them to that.
+// production kernels must reproduce the linear fits bit for bit;
+// equivalence_test.go holds them to that. Lasso is held to a KKT
+// certificate instead, with the reference's objective as a ceiling
+// (certificate_test.go).
 
 var errRefSingular = errors.New("reference: singular")
 
@@ -249,13 +251,14 @@ func refLinearFit(x [][]float64, y []float64, lambda float64, qr bool) (coef []f
 	return beta[1:], beta[0], path, nil
 }
 
-// refLassoFit is cyclic coordinate descent on standardized features
-// that keeps the full residual vector current.
-func refLassoFit(x [][]float64, y []float64, alpha float64, maxIter int, tol float64) (coef []float64, intercept float64) {
+// refStandardize centers and scales each column of x to unit
+// population variance (a constant column is left centered, with std
+// 0) and centers y.
+func refStandardize(x [][]float64, y []float64) (cols [][]float64, means, stds []float64, yMean float64, resid []float64) {
 	n, p := len(x), len(x[0])
-	means := make([]float64, p)
-	stds := make([]float64, p)
-	cols := make([][]float64, p)
+	means = make([]float64, p)
+	stds = make([]float64, p)
+	cols = make([][]float64, p)
 	for j := 0; j < p; j++ {
 		col := make([]float64, n)
 		var sum float64
@@ -282,11 +285,19 @@ func refLassoFit(x [][]float64, y []float64, alpha float64, maxIter int, tol flo
 	for _, v := range y {
 		ySum += v
 	}
-	yMean := ySum / float64(n)
-	resid := make([]float64, n)
+	yMean = ySum / float64(n)
+	resid = make([]float64, n)
 	for i := range resid {
 		resid[i] = y[i] - yMean
 	}
+	return cols, means, stds, yMean, resid
+}
+
+// refLassoFit is cyclic coordinate descent on standardized features
+// that keeps the full residual vector current.
+func refLassoFit(x [][]float64, y []float64, alpha float64, maxIter int, tol float64) (coef []float64, intercept float64) {
+	n, p := len(x), len(x[0])
+	cols, means, stds, yMean, resid := refStandardize(x, y)
 	beta := make([]float64, p)
 	threshold := alpha * float64(n)
 	for iter := 0; iter < maxIter; iter++ {
