@@ -11,15 +11,16 @@
 // The pipeline is compiled, then driven. [NewPlanContext] builds a
 // [Plan] once per (dataset, Config) pair: the validated configuration,
 // the scenario view of the series (Section 3's next-day vs
-// next-working-day targets) and a one-pass lag-superset feature
-// materialization ([vup/internal/featsel.MaterializeContext]) holding
-// every feature any training window could select. The paper's
-// per-window steps then run over the plan: [Plan.EvaluateContext]
-// re-ranks lags and gathers each window's matrix from the superset by
-// block copies (feature generation + selection, Section 4.1 steps
-// 1-3), running the independent windows on GOMAXPROCS workers and
-// merging them in window order, [Plan.FitContext] trains the most-recent-window model and
-// returns a [Fitted] artifact (step 4 for serving), and
+// next-working-day targets) and a feature gatherer
+// ([vup/internal/featsel.MaterializeContext]) over the view's columns,
+// which assembles any training window's features without copying the
+// series. The paper's per-window steps then run over the plan:
+// [Plan.EvaluateContext] re-ranks lags and gathers each window's
+// matrix from the view's columns (feature generation + selection,
+// Section 4.1 steps 1-3), running the independent windows on
+// GOMAXPROCS workers and merging them in window order,
+// [Plan.FitContext] trains the most-recent-window model and returns a
+// [Fitted] artifact (step 4 for serving), and
 // [Plan.ForecastIntervalContext] calibrates a residual-quantile band
 // from a single evaluation pass (goal iii). [Fitted.ForecastContext]
 // and [Fitted.HorizonContext] predict phantom next days — the horizon
@@ -31,9 +32,11 @@
 // A forecast under the sliding strategy reads only the last W+MaxLag
 // view rows, so [NewForecastPlanContext] compiles a forecast plan over
 // a copy of just those rows: fits and forecasts bit-identical to the
-// full plan's at O((W+MaxLag)×F) memory whatever the series length.
-// [Plan.ExtendContext] grows either kind of plan over appended days;
-// a forecast plan refuses evaluation.
+// full plan's at O(W+MaxLag) days of memory whatever the series
+// length. A full plan holds no feature copy either, only the view (on
+// the next-day scenario, the dataset itself). [Plan.ExtendContext]
+// grows either kind of plan over appended days; a forecast plan
+// refuses evaluation.
 //
 // [EvaluateVehicleContext] is the unit of work of the whole evaluation
 // campaign — a thin driver that compiles a Plan and runs it, as are

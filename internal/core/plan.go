@@ -19,9 +19,9 @@ import (
 
 // Plan is the compiled pipeline for one (dataset, Config) pair: the
 // validated configuration, the scenario view of the series and the
-// lag-superset feature materialization — every feature any training
-// window could select, computed once in a single O(n×F) pass. The
-// public drivers (EvaluateVehicleContext, Forecast, ForecastHorizon,
+// feature gatherer over the view's columns, which assembles the rows
+// of any training window's lag selection without copying the series.
+// The public drivers (EvaluateVehicleContext, Forecast, ForecastHorizon,
 // ForecastInterval) are thin wrappers that compile a Plan and run it;
 // callers that run several of those on the same vehicle and config
 // (the calibrated-interval path) compile once and share it.
@@ -31,7 +31,7 @@ import (
 // the sliding strategy NewForecastPlanContext compiles a forecast plan
 // over a copy of only the last W+MaxLag view rows, which is all that a
 // fit on the most recent window and its forecasts read, so it holds
-// O((W+MaxLag)×F) however long the series grows. A forecast plan
+// O(W+MaxLag) days however long the series grows. A forecast plan
 // answers FitContext exactly as the full plan does and refuses
 // EvaluateContext.
 //
@@ -48,19 +48,19 @@ type Plan struct {
 	// and days the length of the dataset compiled from.
 	off, days int
 	// claimed guards the spare capacity past a forecast plan's view
-	// rows, as featsel's tailOwned does for the materialization: one
-	// extension appends in place, every other one copies.
+	// rows: one extension appends in place, every other one copies.
+	// The gatherer reads only the view's first rows, so a parent never
+	// sees the rows a child appends.
 	claimed atomic.Bool
 }
 
 // NewPlanContext validates the configuration and dataset, applies the
-// scenario transformation and materializes the lag-superset features
-// over the whole view: a full plan. The materialization covers lags up
-// to cfg.MaxLag (clamped to the view length), so every per-window lag
-// selection gathers from it by block copies instead of re-walking the
-// dataset maps. When ctx carries an active trace span, the compilation
-// is recorded as a "plan.build" child (with the materialization under
-// it).
+// scenario transformation and compiles the feature gatherer over the
+// whole view: a full plan. The gatherer covers lags up to cfg.MaxLag
+// (clamped to the view length) and reads the view's columns, resolved
+// once, instead of re-walking the dataset maps per row. When ctx
+// carries an active trace span, the compilation is recorded as a
+// "plan.build" child (with the materialization under it).
 func NewPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (*Plan, error) {
 	return compile(ctx, d, cfg, false)
 }
@@ -69,8 +69,8 @@ func NewPlanContext(ctx context.Context, d *etl.VehicleDataset, cfg Config) (*Pl
 // expanding strategy, which trains on the whole series, that is
 // NewPlanContext. Under the sliding strategy it validates and builds
 // the view as NewPlanContext does, then copies the last W+MaxLag view
-// rows and materializes only those, with the lag budget clamped to the
-// whole view's length. FitContext, ForecastContext and HorizonContext
+// rows and gathers from that copy only, with the lag budget clamped to
+// the whole view's length. FitContext, ForecastContext and HorizonContext
 // on it are bit-identical to the full plan's; EvaluateContext and
 // ForecastIntervalContext return an error. The compilation is traced
 // as NewPlanContext's is.
@@ -189,11 +189,11 @@ func appendRows[T any](s, add []T, inPlace bool) []T {
 func (p *Plan) View() *etl.VehicleDataset { return p.view }
 
 // ExtendContext compiles a plan for d — the same vehicle's series with
-// days appended, as produced by the streaming-ingest path — by reusing
-// the receiver's materialization through featsel.AppendDays instead of
-// the full O(n×F) rebuild. The receiver is untouched and stays valid
-// for readers holding cached artifacts. The result is of the
-// receiver's kind.
+// days appended, as produced by the streaming-ingest path — by handing
+// the new view to the receiver's gatherer through featsel.AppendDays,
+// which checks only the lag window the new rows read. The receiver is
+// untouched and stays valid for readers holding cached artifacts. The
+// result is of the receiver's kind.
 //
 // Extension is only sound when the receiver's compiled state is a
 // strict prefix of the new one, so ExtendContext refuses (and the
@@ -252,9 +252,9 @@ func (p *Plan) ExtendContext(ctx context.Context, d *etl.VehicleDataset) (np *Pl
 }
 
 // extendTail is ExtendContext for a forecast plan over the new view.
-// The plan's rows start where they did and grow by the k new view rows
-// through AppendDays, in place while its spare capacity lasts, so a
-// one-day extension costs amortized O(F). Only the last W+MaxLag rows
+// The plan's rows start where they did and grow by the k new view rows,
+// in place while its spare capacity lasts, so a one-day extension
+// costs amortized O(channels). Only the last W+MaxLag rows
 // are read; once the rows before them outnumber the window, the last
 // window is copied down into a fresh plan instead, so a forecast plan
 // never holds more than 2×(W+MaxLag) rows.
@@ -342,7 +342,7 @@ func clampHours(pred float64) float64 {
 // EvaluateContext runs the full hold-out evaluation of Section 4.1
 // over the compiled plan: enumerate the train/test windows, re-run
 // feature selection per window, gather the window's matrix from the
-// superset, train a fresh model and predict the test day. When ctx
+// view's columns, train a fresh model and predict the test day. When ctx
 // carries an active trace span, the hold-out run is recorded as a
 // "plan.evaluate" child with window, skip and worker counts.
 //

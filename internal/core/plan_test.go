@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"vup/internal/canbus"
 	"vup/internal/etl"
+	"vup/internal/featsel"
 	"vup/internal/obs"
 	"vup/internal/regress"
 	"vup/internal/timeseries"
@@ -669,4 +671,142 @@ func TestPipelineSpansTimeThemselves(t *testing.T) {
 			t.Errorf("forecast: span_seconds{name=%q} +%d, want +1", name, got)
 		}
 	}
+}
+
+// TestCompileAllocatesNoFeatureCopy bounds the bytes one compilation
+// allocates on a study-length (1 369-day) series at DefaultConfig.
+// Features are gathered from the view's columns, so a full plan
+// allocates O(channels), and a forecast plan additionally copies its
+// W+MaxLag view rows (about 27 KB). A per-day feature copy, 477
+// floats a day at this shape, costs 5.2 MB for the full plan and 0.7
+// MB for the forecast plan.
+func TestCompileAllocatesNoFeatureCopy(t *testing.T) {
+	d := testDataset(t, 80, 1369)
+	cfg := DefaultConfig()
+	for _, bc := range []struct {
+		name    string
+		compile func(context.Context, *etl.VehicleDataset, Config) (*Plan, error)
+		bound   uint64
+	}{{"full", NewPlanContext, 8 << 10}, {"tail", NewForecastPlanContext, 64 << 10}} {
+		const runs = 20
+		var plans [runs]*Plan
+		if _, err := bc.compile(t.Context(), d, cfg); err != nil { // warm up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range plans {
+			var err error
+			if plans[i], err = bc.compile(t.Context(), d, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > bc.bound {
+			t.Errorf("%s: compile allocates %d B, want at most %d B", bc.name, got, bc.bound)
+		}
+	}
+}
+
+// TestForecastPlanGatherDuringExtend: a forecast plan gathers its rows
+// from its view's columns. While readers gather every row of a parent
+// plan, one at a time and as a training matrix, a child appends into
+// the parent's spare capacity in place and later extensions run on
+// until one copies the window down; every parent row must stay
+// bit-equal to a fresh compile's. Under -race, a read of a cell some
+// child writes is reported.
+func TestForecastPlanGatherDuringExtend(t *testing.T) {
+	cfg := whatIfConfig(NextDay)
+	window := cfg.W + cfg.MaxLag
+	start := 200
+	long := testDataset(t, 41, start+2*window+2)
+	ctx := t.Context()
+	p0, err := NewForecastPlanContext(ctx, headOf(long, start), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One extension first, so the parent has spare capacity to append into.
+	parent, err := p0.ExtendContext(ctx, headOf(long, start+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewPlanContext(ctx, headOf(long, start+1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lags := featsel.AllLags(parent.mat.MaxLag())
+	want := gatherAll(fresh, lags)
+	check := func(name string, p *Plan, want map[int][]float64) bool {
+		got := gatherAll(p, lags)
+		var s featsel.Scratch
+		x, _, err := p.mat.MatrixInto(&s, lags, 0, p.mat.Len())
+		if err != nil || len(x) != len(got) || len(got) == 0 {
+			t.Errorf("%s: %d rows gathered, %d as a matrix (%v)", name, len(got), len(x), err)
+			return false
+		}
+		first := p.off + lags[len(lags)-1]
+		for day, row := range got {
+			if w := want[day]; !sameBits(row, w) || !sameBits(x[day-first], w) {
+				t.Errorf("%s: view day %d gathered %v and %v, fresh compile %v", name, day, row, x[day-first], w)
+				return false
+			}
+		}
+		return true
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for check("parent during extension", parent, want) {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	p, first := parent, (*Plan)(nil)
+	for n := start + 2; n <= long.Len() && err == nil; n++ {
+		p, err = p.ExtendContext(ctx, headOf(long, n))
+		if first == nil {
+			first = p
+		}
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first.view.Hours[0] != &parent.view.Hours[0] {
+		t.Fatal("the first extension did not append in place")
+	}
+	if p.off == parent.off {
+		t.Fatal("the extension chain never copied its window down")
+	}
+	if fresh, err = NewPlanContext(ctx, long, cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("last extension", p, gatherAll(fresh, lags))
+}
+
+// gatherAll gathers every row of p that lags allow, keyed by the day
+// of the whole scenario view it predicts.
+func gatherAll(p *Plan, lags []int) map[int][]float64 {
+	rows := make(map[int][]float64)
+	for t := range p.mat.Len() {
+		row := make([]float64, p.mat.RowWidth(lags))
+		if p.mat.GatherRow(row, t, lags) {
+			rows[p.off+t] = row
+		}
+	}
+	return rows
+}
+
+// sameBits reports whether a and b hold bitwise identical values.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }

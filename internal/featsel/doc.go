@@ -12,4 +12,11 @@
 // selection is a pure function of the window, so the parallel sweeps
 // of [vup/internal/experiments] reproduce sequential feature sets
 // exactly. The ACF itself lives in [vup/internal/stats].
+//
+// [Spec] assembles rows from the dataset maps one at a time; it is the
+// reference. The compiled pipeline uses [Materialized] instead
+// ([MaterializeContext]): it resolves the dataset's columns once and
+// gathers rows straight from them, value-identical to Spec, without
+// copying the series. The context encoding of a gathered row is copied
+// from a table of every calendar context, built once per process.
 package featsel

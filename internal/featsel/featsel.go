@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vup/internal/etl"
+	"vup/internal/geo"
 	"vup/internal/stats"
 )
 
@@ -130,8 +131,9 @@ func contextFeatures(c etl.Context) []float64 {
 
 // fillContext writes the context encoding into dst (len contextWidth):
 // one-hot weekday, holiday and working-day flags, one-hot season and
-// the month on the unit circle. Both the per-row Spec path and the
-// one-pass materialization use it, so the encodings cannot diverge.
+// the month on the unit circle. The per-row Spec path calls it and
+// Materialized copies its output from contextTable, so the encodings
+// cannot diverge.
 func fillContext(dst []float64, c etl.Context) {
 	for wd := time.Sunday; wd <= time.Saturday; wd++ {
 		if c.DayOfWeek == wd {
@@ -160,6 +162,46 @@ func fillContext(dst []float64, c etl.Context) {
 	}
 	k += 4
 	dst[k], dst[k+1] = monthCircle(c.Month)
+}
+
+// contextTable holds the encoding of every in-range context, so a
+// gathered row copies its context columns instead of re-deriving them
+// (the month's cosine and sine included). Row i is the context with
+// month i/112+1, season i/28%4, working day i/14%2, holiday i/7%2 and
+// weekday i%7. fillContext builds it, so the encodings cannot diverge.
+var contextTable = func() []float64 {
+	const n = 12 * 4 * 2 * 2 * 7
+	t := make([]float64, n*contextWidth)
+	for i := range n {
+		fillContext(t[i*contextWidth:(i+1)*contextWidth], etl.Context{
+			Month:      time.Month(i/112 + 1),
+			Season:     geo.Season(i / 28 % 4),
+			WorkingDay: i/14%2 == 1,
+			Holiday:    i/7%2 == 1,
+			DayOfWeek:  time.Weekday(i % 7),
+		})
+	}
+	return t
+}()
+
+// encodeContext writes c's encoding into dst (len contextWidth),
+// exactly as fillContext does: copied from contextTable, or computed
+// when a field is out of range.
+func encodeContext(dst []float64, c etl.Context) {
+	wd, s, m := uint(c.DayOfWeek), uint(c.Season), uint(c.Month-1)
+	if wd >= 7 || s >= 4 || m >= 12 {
+		fillContext(dst, c)
+		return
+	}
+	i := (m*4 + s) * 4
+	if c.WorkingDay {
+		i += 2
+	}
+	if c.Holiday {
+		i++
+	}
+	i = i*7 + wd
+	copy(dst, contextTable[i*contextWidth:(i+1)*contextWidth])
 }
 
 // monthCircle encodes the month on the unit circle so December and

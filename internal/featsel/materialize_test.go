@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"vup/internal/etl"
+	"vup/internal/geo"
 	"vup/internal/randx"
 )
 
@@ -239,8 +240,9 @@ func growDataset(t *testing.T, d *etl.VehicleDataset, k int) *etl.VehicleDataset
 	return out
 }
 
-// TestAppendDaysMatchesFreshMaterialize: the extended superset must be
-// bitwise identical to materializing the grown dataset from scratch.
+// TestAppendDaysMatchesFreshMaterialize: the extended materialization
+// must gather rows bitwise identical to materializing the grown
+// dataset from scratch.
 func TestAppendDaysMatchesFreshMaterialize(t *testing.T) {
 	d := materializeDataset(t, 70)
 	channels := []string{"alpha", "beta"}
@@ -249,9 +251,8 @@ func TestAppendDaysMatchesFreshMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three successive appends of 1, 3 and 1 days exercise both the
-	// realloc path (first append: materialize leaves no spare capacity)
-	// and the in-place tail path (later appends inherit headroom).
+	// Three successive appends of 1, 3 and 1 days, each checked
+	// against the lag window of the one before.
 	cur := m
 	grown := d
 	for _, k := range []int{1, 3, 1} {
@@ -269,33 +270,29 @@ func TestAppendDaysMatchesFreshMaterialize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cur.data) != len(fresh.data) {
-		t.Fatalf("data len %d vs fresh %d", len(cur.data), len(fresh.data))
+	if cur.Len() != fresh.Len() {
+		t.Fatalf("len %d vs fresh %d", cur.Len(), fresh.Len())
 	}
-	for i := range fresh.data {
-		if math.Float64bits(cur.data[i]) != math.Float64bits(fresh.data[i]) {
-			t.Fatalf("superset drifted at flat index %d: %v vs %v", i, cur.data[i], fresh.data[i])
-		}
-	}
-	// And the gather surface agrees end to end.
-	lags := []int{1, 5, 11}
-	a := make([]float64, cur.RowWidth(lags))
-	b := make([]float64, fresh.RowWidth(lags))
-	for day := 0; day < grown.Len(); day++ {
-		if cur.GatherRow(a, day, lags) != fresh.GatherRow(b, day, lags) {
-			t.Fatalf("day %d: gather availability differs", day)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("day %d col %d: %v vs %v", day, j, a[j], b[j])
+	// Every row under every lag selection, bit for bit.
+	for _, lags := range [][]int{AllLags(11), {1, 5, 11}, {3}} {
+		a := make([]float64, cur.RowWidth(lags))
+		b := make([]float64, fresh.RowWidth(lags))
+		for day := 0; day < grown.Len(); day++ {
+			if cur.GatherRow(a, day, lags) != fresh.GatherRow(b, day, lags) {
+				t.Fatalf("lags %v day %d: gather availability differs", lags, day)
+			}
+			for j := range a {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("lags %v day %d col %d: %v vs %v", lags, day, j, a[j], b[j])
+				}
 			}
 		}
 	}
 }
 
-// TestAppendDaysForkSafety: two children extended from one parent must
-// not trample each other — only one may claim the parent's tail in
-// place; the other reallocates. The parent's own rows stay intact.
+// TestAppendDaysForkSafety: two children extended from one parent over
+// different continuations each gather their own series, and the
+// parent's rows stay intact.
 func TestAppendDaysForkSafety(t *testing.T) {
 	d := materializeDataset(t, 50)
 	m, err := MaterializeContext(context.Background(), d, 7, []string{"alpha"}, false, []string{"alpha"})
@@ -329,9 +326,7 @@ func TestAppendDaysForkSafety(t *testing.T) {
 		t.Fatal("forked children refuse their own last day")
 	}
 	// The forked day's target-channel value differs by construction:
-	// 200 on the A branch, the -1 override on B. childB was built after
-	// childA, so if both had claimed the parent's tail in place, B's
-	// write would have trampled A's row and this check would see -1.
+	// 200 on the A branch, the -1 override on B.
 	tA, tB := rowA[len(rowA)-1], rowB[len(rowB)-1]
 	if tA != 200 || tB != -1 {
 		t.Errorf("forked target columns = %v and %v, want 200 and -1", tA, tB)
@@ -381,14 +376,22 @@ func TestAppendDaysRefusals(t *testing.T) {
 	if _, err := m.AppendDays(g4); err == nil {
 		t.Error("missing channel accepted")
 	}
-	// Same length: shares rows, re-points columns.
+	// Same length: accepted, and gathers the parent's rows from the
+	// caller's columns.
 	same := growDataset(t, d, 0)
 	s, err := m.AppendDays(same)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != m.Len() || &s.data[0] != &m.data[0] {
-		t.Error("no-op append should share the parent's rows")
+	if s.Len() != m.Len() || &s.hours[0] != &same.Hours[0] {
+		t.Error("no-op append should read the caller's columns")
+	}
+	lags := []int{1, 6}
+	a, b := make([]float64, m.RowWidth(lags)), make([]float64, s.RowWidth(lags))
+	for day := range d.Len() {
+		if m.GatherRow(a, day, lags) != s.GatherRow(b, day, lags) || !bitsEqual(a, b) {
+			t.Fatalf("no-op append: day %d row %v, parent's %v", day, b, a)
+		}
 	}
 }
 
@@ -416,7 +419,9 @@ func BenchmarkAppendDays(b *testing.B) {
 	}
 }
 
-// BenchmarkMaterializeFull is the rebuild baseline AppendDays replaces.
+// BenchmarkMaterializeFull compiles a materialization from scratch,
+// the fallback when AppendDays refuses. It resolves columns and copies
+// nothing, so it too must be flat in n.
 func BenchmarkMaterializeFull(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -472,6 +477,42 @@ func benchView(full *etl.VehicleDataset, k int) *etl.VehicleDataset {
 	return v
 }
 
+// TestEncodeContextMatchesFill: gathered rows copy exactly
+// fillContext's encoding for every in-range context, and out-of-range
+// fields fall back to fillContext.
+func TestEncodeContextMatchesFill(t *testing.T) {
+	check := func(c etl.Context) {
+		t.Helper()
+		got, want := make([]float64, contextWidth), make([]float64, contextWidth)
+		encodeContext(got, c)
+		fillContext(want, c)
+		if !bitsEqual(got, want) {
+			t.Fatalf("%+v: encoded %v, want %v", c, got, want)
+		}
+	}
+	for m := time.January; m <= time.December; m++ {
+		for s := geo.Season(0); s < 4; s++ {
+			for _, work := range []bool{false, true} {
+				for _, hol := range []bool{false, true} {
+					for wd := time.Sunday; wd <= time.Saturday; wd++ {
+						check(etl.Context{DayOfWeek: wd, Month: m, Season: s, Holiday: hol, WorkingDay: work, Year: 2017, WeekOfYear: 9})
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []etl.Context{
+		{DayOfWeek: 7, Month: time.May},
+		{DayOfWeek: -1, Month: time.May},
+		{Month: 0},
+		{Month: 13, Holiday: true},
+		{Month: time.June, Season: 9, WorkingDay: true},
+		{Month: time.June, Season: -1},
+	} {
+		check(c)
+	}
+}
+
 func TestMaterializeErrors(t *testing.T) {
 	d := materializeDataset(t, 30)
 	if _, err := MaterializeContext(context.Background(), d, 0, nil, false, nil); err == nil {
@@ -482,6 +523,11 @@ func TestMaterializeErrors(t *testing.T) {
 	}
 	if _, err := MaterializeContext(context.Background(), d, 5, nil, false, []string{"nope"}); err == nil {
 		t.Error("unknown target channel accepted")
+	}
+	short := *d
+	short.Context = d.Context[:29]
+	if _, err := MaterializeContext(context.Background(), &short, 5, nil, true, nil); err == nil {
+		t.Error("context missing a day accepted")
 	}
 	m, err := MaterializeContext(context.Background(), d, 5, nil, false, nil)
 	if err != nil {

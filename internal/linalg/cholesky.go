@@ -9,22 +9,25 @@ import (
 // positive-definite matrix A = L·Lᵀ.
 type Cholesky struct {
 	n int
-	l []float64 // row-major n×n; only the lower triangle is written
+	l []float64 // row-major n×n; L is the lower triangle, the rest is never read
 }
 
-// NewCholesky factorizes the symmetric positive-definite matrix a.
-// Only the lower triangle of a is read. It returns ErrShape for a
-// non-square input and ErrSingular when a is not positive definite to
-// working precision.
+// NewCholesky factorizes the symmetric positive-definite matrix a in
+// place: it overwrites the lower triangle of a with the factor L, which
+// the returned Cholesky shares, and neither reads nor writes the strict
+// upper triangle. Each entry of the lower triangle is read once, just
+// before L's entry at the same index is written. It returns ErrShape
+// for a non-square input and ErrSingular, with the lower triangle
+// partly overwritten, when a is not positive definite to working
+// precision.
 func NewCholesky(a *Matrix) (*Cholesky, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("%w: Cholesky of %dx%d", ErrShape, a.Rows, a.Cols)
 	}
-	n := a.Rows
-	l := make([]float64, n*n)
+	n, l := a.Rows, a.Data
 	for j := 0; j < n; j++ {
 		lj := l[j*n : j*n+j]
-		d := a.Data[j*n+j]
+		d := l[j*n+j]
 		for _, v := range lj {
 			d -= v * v
 		}
@@ -39,8 +42,8 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 		for ; i+3 < n; i += 4 {
 			l0, l1 := l[i*n:i*n+j], l[(i+1)*n:(i+1)*n+j]
 			l2, l3 := l[(i+2)*n:(i+2)*n+j], l[(i+3)*n:(i+3)*n+j]
-			s0, s1 := a.Data[i*n+j], a.Data[(i+1)*n+j]
-			s2, s3 := a.Data[(i+2)*n+j], a.Data[(i+3)*n+j]
+			s0, s1 := l[i*n+j], l[(i+1)*n+j]
+			s2, s3 := l[(i+2)*n+j], l[(i+3)*n+j]
 			for k, v := range lj {
 				s0 -= l0[k] * v
 				s1 -= l1[k] * v
@@ -52,7 +55,7 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 		}
 		for ; i < n; i++ {
 			li := l[i*n : i*n+j]
-			s := a.Data[i*n+j]
+			s := l[i*n+j]
 			for k, v := range li {
 				s -= v * lj[k]
 			}

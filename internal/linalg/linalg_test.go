@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -142,7 +143,7 @@ func TestLeastSquaresErrors(t *testing.T) {
 
 func TestCholeskySolve(t *testing.T) {
 	a := fromRows([][]float64{{4, 2}, {2, 3}})
-	c, err := NewCholesky(a)
+	c, err := NewCholesky(fromRows([][]float64{{4, 2}, {2, 3}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +171,14 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Data[i*n+i]++
 		}
-		c, err := NewCholesky(a)
+		c, err := NewCholesky(&Matrix{Rows: n, Cols: n, Data: slices.Clone(a.Data)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				var llt float64
-				for k := 0; k < n; k++ {
+				var llt float64 // L is lower triangular: k ≤ min(i, j)
+				for k := 0; k <= min(i, j); k++ {
 					llt += c.l[i*n+k] * c.l[j*n+k]
 				}
 				if !almost(llt, a.Data[i*n+j], 1e-8) {
@@ -278,7 +279,8 @@ func TestCholeskyHandFactored(t *testing.T) {
 	// A = L·Lᵀ with L = [2 0 0; 1 3 0; −1 2 4]. Every intermediate of
 	// the factorization and of the solve below is exact in float64, so
 	// the comparisons are exact. The upper triangle holds garbage: only
-	// the lower triangle may be read.
+	// the lower triangle may be read, and it is factored in place, so
+	// the garbage stays.
 	a := fromRows([][]float64{
 		{4, 99, 99},
 		{2, 10, 99},
@@ -289,8 +291,8 @@ func TestCholeskyHandFactored(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []float64{
-		2, 0, 0,
-		1, 3, 0,
+		2, 99, 99,
+		1, 3, 99,
 		-1, 2, 4,
 	}
 	for i, w := range want {

@@ -92,20 +92,48 @@ func (m *Linear) ridge() float64 {
 }
 
 // ridgeSolve solves (AᵀA + λI)β = Aᵀy for the design A = [1 x],
-// leaving the intercept column unpenalized. AᵀA and Aᵀy are
-// accumulated straight from the rows of x, each entry summed over the
-// rows in order; only the lower triangle of AᵀA is formed, which is
-// all the Cholesky factorization reads. Rows are taken two at a time,
-// so each Gram entry is loaded and stored once per pair, still adding
-// the first row's product before the second's. A zero design entry
-// skips its Gram row, as it would alone, so an infinite entry elsewhere
-// in the row never meets it.
+// leaving the intercept column unpenalized. The normal equations are
+// factored in place, so the fit holds one q×q matrix. When they do not
+// factorize, the penalty is strengthened tenfold at a time; since the
+// failed attempt overwrote the Gram, each retry rebuilds it, bit for
+// bit, and adds every boost so far in order.
 func ridgeSolve(x [][]float64, y []float64, lambda float64) ([]float64, error) {
 	q := len(x[0]) + 1
 	ata := linalg.NewMatrix(q, q)
-	g := ata.Data
 	aty := make([]float64, q)
-	ab := make([]float64, 2*q) // the current pair of design rows
+	ab := make([]float64, 2*q)
+	normalEquations(ata.Data, aty, ab, x, y, lambda)
+	chol, err := linalg.NewCholesky(ata)
+	// Last resort: strengthen the penalty until it factorizes.
+	for boost := lambda * 10; err != nil && boost < 1e6; boost *= 10 {
+		clear(ata.Data)
+		clear(aty)
+		normalEquations(ata.Data, aty, ab, x, y, lambda)
+		for b := lambda * 10; b <= boost; b *= 10 {
+			for j := 0; j < q; j++ {
+				ata.Data[j*q+j] += b
+			}
+		}
+		chol, err = linalg.NewCholesky(ata)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return chol.Solve(aty)
+}
+
+// normalEquations adds AᵀA + λI (intercept unpenalized, with a 1e-12
+// jitter instead) into the row-major q×q g and Aᵀy into aty, using ab
+// (2q long) as row scratch. AᵀA and Aᵀy are accumulated straight from
+// the rows of x, each entry summed over the rows in order; only the
+// lower triangle of AᵀA is formed, which is all the Cholesky
+// factorization reads. Rows are taken two at a time, so each Gram
+// entry is loaded and stored once per pair, still adding the first
+// row's product before the second's. A zero design entry skips its
+// Gram row, as it would alone, so an infinite entry elsewhere in the
+// row never meets it.
+func normalEquations(g, aty, ab []float64, x [][]float64, y []float64, lambda float64) {
+	q := len(aty)
 	a, b := ab[:q:q], ab[q:]
 	a[0], b[0] = 1, 1
 	r := 0
@@ -154,22 +182,6 @@ func ridgeSolve(x [][]float64, y []float64, lambda float64) ([]float64, error) {
 	// A tiny jitter on the intercept keeps the factorization positive
 	// definite even for pathological designs.
 	g[0] += 1e-12
-	chol, err := linalg.NewCholesky(ata)
-	if err != nil {
-		// Last resort: strengthen the penalty until it factorizes.
-		for boost := lambda * 10; boost < 1e6; boost *= 10 {
-			for j := 0; j < q; j++ {
-				g[j*q+j] += boost
-			}
-			if chol, err = linalg.NewCholesky(ata); err == nil {
-				break
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return chol.Solve(aty)
 }
 
 // Predict implements Regressor.

@@ -289,21 +289,22 @@ func summarizeReports(d *etl.VehicleDataset, b *ingestBatch) (days []fstore.Day,
 
 // planSeed is the last compiled plan for one vehicle+config, kept so
 // the next build after an append can extend it over the new tail
-// (amortized O(features) per day) instead of rematerializing the whole
-// lag superset.
+// instead of recompiling the scenario view and, for a forecast plan,
+// recopying its window.
 type planSeed struct {
 	fp   uint64
 	plan *core.Plan
 }
 
 // maxPlanSeeds bounds the plan-seed map. A point-forecast seed is a
-// forecast plan, O((W+MaxLag)×features) whatever the series length; an
-// evaluation or interval seed is a full plan holding the dataset and
-// its whole lag superset. Neither is charged to the store's resident
-// budget, so on a larger-than-RAM lazy fleet the seed map must shed
-// like the store does. Eviction is arbitrary-victim (Go map iteration
-// order), which is cheap and good enough for a warm-tail optimization:
-// a shed seed only costs one plan recompilation.
+// forecast plan, a copy of W+MaxLag view days whatever the series
+// length; an evaluation or interval seed is a full plan, which holds
+// the dataset (and, under next-working-day, its compacted view).
+// Neither is charged to the store's resident budget, so on a
+// larger-than-RAM lazy fleet the seed map must shed like the store
+// does. Eviction is arbitrary-victim (Go map iteration order), which
+// is cheap and good enough for a warm-tail optimization: a shed seed
+// only costs one plan recompilation.
 const maxPlanSeeds = 4096
 
 // loadSeed fetches the plan seed for a key, if present.
