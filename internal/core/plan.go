@@ -532,8 +532,9 @@ func (p *Plan) FitContext(ctx context.Context) (f *Fitted, err error) {
 func (f *Fitted) Lags() []int { return f.lags }
 
 // extension builds h phantom days past the view: hours and channel
-// values zero until written, context derived from consecutive calendar
-// dates after the last view day. Channels appearing as both lag and
+// values zero until written, each day's 2-byte context copied from the
+// calendar memo for the consecutive dates after the last view day
+// (etl.ContextsFrom). Channels appearing as both lag and
 // target features share one column, so a target-day override is also
 // visible to later steps' lag reads — matching the semantics of
 // appending real days to the series.

@@ -2,22 +2,52 @@ package etl
 
 import (
 	"slices"
+	"sync"
 	"time"
 
 	"vup/internal/geo"
 )
 
-// Context holds the contextual enrichment of one day (temporal
-// features are per-country: holidays and weekends differ).
-type Context struct {
-	DayOfWeek  time.Weekday
-	WeekOfYear int
-	Month      time.Month
-	Season     geo.Season
-	Year       int
-	Holiday    bool
-	WorkingDay bool
+// Context is the contextual enrichment of one day (temporal features
+// are per-country: holidays and weekends differ), packed into the
+// number of its feature class:
+//
+//	(((month−1)·4 + season)·2 + workingDay)·2 + holiday)·7 + weekday
+//
+// so a day costs two bytes and the classes run 0..NumContexts−1, the
+// row order of the models' context encoding table
+// (internal/featsel). The ISO week and the year, which no feature
+// reads, come from the day's date (VehicleDataset.Date).
+type Context uint16
+
+// NumContexts is the number of context classes: 12 months, 4 seasons,
+// working day or not, holiday or not, 7 weekdays.
+const NumContexts = 12 * 4 * 2 * 2 * 7
+
+// newContext packs one day's calendar fields. The weekday, month and
+// season must be in range.
+func newContext(weekday time.Weekday, month time.Month, season geo.Season, holiday, workingDay bool) Context {
+	c := (int(month)-1)*4 + int(season)
+	c = c*2 + int(b2u(workingDay))
+	c = c*2 + int(b2u(holiday))
+	return Context(c*7 + int(weekday))
 }
+
+// DayOfWeek returns the day's weekday.
+func (c Context) DayOfWeek() time.Weekday { return time.Weekday(c % 7) }
+
+// Holiday reports whether the day is a public holiday.
+func (c Context) Holiday() bool { return c/7%2 == 1 }
+
+// WorkingDay reports whether the day is neither a weekend day nor a
+// holiday.
+func (c Context) WorkingDay() bool { return c/14%2 == 1 }
+
+// Season returns the day's season in its country's hemisphere.
+func (c Context) Season() geo.Season { return geo.Season(c / 28 % 4) }
+
+// Month returns the day's month.
+func (c Context) Month() time.Month { return time.Month(c/112 + 1) }
 
 // Enrich fills the Context array from the dataset's country and dates
 // (preparation step iv).
@@ -39,72 +69,85 @@ func (d *VehicleDataset) EnrichFrom(from int) {
 		ContextsFrom(d.Country, d.Date(from), d.Context[from:])
 		return
 	}
-	day := civilDay{country: d.Country}
+	code := calendarCode(d.Country)
+	var days []Context
+	year := 0
 	for i := from; i < n; i++ {
-		day.set(d.Dates[i])
-		d.Context[i] = day.context()
+		date := d.Dates[i]
+		if y := date.Year(); days == nil || y != year {
+			year, days = y, yearContexts(code, y)
+		}
+		d.Context[i] = days[date.YearDay()-1]
 	}
 }
 
 // ContextsFrom fills out with the contexts, in the country with the
 // given code, of len(out) consecutive calendar days starting on the
-// date of start.
+// date of start. It copies them a year at a time from the memo.
 func ContextsFrom(country string, start time.Time, out []Context) {
-	if len(out) == 0 {
-		return
-	}
-	day := civilDay{country: country}
-	day.set(start)
-	out[0] = day.context()
-	for i := 1; i < len(out); i++ {
-		day.next()
-		out[i] = day.context()
+	code := calendarCode(country)
+	year, yday := start.Year(), start.YearDay()
+	for len(out) > 0 {
+		out = out[copy(out, yearContexts(code, year)[yday-1:]):]
+		year, yday = year+1, 1
 	}
 }
 
-// civilDay is a calendar date stepped with integer arithmetic, together
-// with its country's calendar for the date's year. A series of n days
-// builds one calendar per year it spans.
-type civilDay struct {
-	country string
-	cal     *geo.Calendar
-	month   time.Month
-	mday    int
-	yday    int
+// calendarCode returns the code whose calendar the country observes:
+// the code itself, or "" for every unknown code, which
+// geo.NewCalendar gives one and the same calendar.
+func calendarCode(country string) string {
+	if _, err := geo.Lookup(country); err != nil {
+		return ""
+	}
+	return country
 }
 
-// set moves to the date of t, building a calendar only when the year
-// changes.
-func (c *civilDay) set(t time.Time) {
-	y, m, d := t.Date()
-	if c.cal == nil || c.cal.Year() != y {
-		c.cal = geo.NewCalendar(c.country, y)
-	}
-	c.month, c.mday, c.yday = m, d, c.cal.YearDay(m, d)
+// contextMemo holds the contexts of every (calendar code, year) asked
+// for so far, each a year's days by day of the year. An entry is never
+// written after it is published, so readers share it freely.
+var contextMemo = struct {
+	sync.RWMutex
+	years map[calendarYear][]Context
+}{years: make(map[calendarYear][]Context)}
+
+type calendarYear struct {
+	code string
+	year int
 }
 
-// next moves to the following day.
-func (c *civilDay) next() {
-	c.yday++
-	if c.mday++; c.mday <= c.cal.MonthDays(c.month) {
-		return
+// yearContexts returns the contexts of the days of one year in the
+// calendar with the given code, indexed by day of the year minus one,
+// building them on first use.
+func yearContexts(code string, year int) []Context {
+	key := calendarYear{code, year}
+	contextMemo.RLock()
+	days, ok := contextMemo.years[key]
+	contextMemo.RUnlock()
+	if ok {
+		return days
 	}
-	c.mday = 1
-	if c.month++; c.month <= time.December {
-		return
+	days = buildYear(code, year)
+	contextMemo.Lock()
+	defer contextMemo.Unlock()
+	if prior, ok := contextMemo.years[key]; ok {
+		return prior
 	}
-	c.month, c.yday = time.January, 1
-	c.cal = geo.NewCalendar(c.country, c.cal.Year()+1)
+	contextMemo.years[key] = days
+	return days
 }
 
-func (c *civilDay) context() Context {
-	return Context{
-		DayOfWeek:  c.cal.Weekday(c.yday),
-		WeekOfYear: c.cal.ISOWeek(c.yday),
-		Month:      c.month,
-		Season:     c.cal.Season(c.month),
-		Year:       c.cal.Year(),
-		Holiday:    c.cal.IsHoliday(c.yday),
-		WorkingDay: c.cal.IsWorkingDay(c.yday),
+// buildYear steps through the civil dates of one year with integer
+// arithmetic, asking the year's calendar about each day.
+func buildYear(code string, year int) []Context {
+	cal := geo.NewCalendar(code, year)
+	days := make([]Context, 0, 366)
+	for m := time.January; m <= time.December; m++ {
+		season := cal.Season(m)
+		for range cal.MonthDays(m) {
+			yday := len(days) + 1
+			days = append(days, newContext(cal.Weekday(yday), m, season, cal.IsHoliday(yday), cal.IsWorkingDay(yday)))
+		}
 	}
+	return days
 }

@@ -2,31 +2,31 @@ package etl
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"vup/internal/canbus"
 	"vup/internal/geo"
 )
 
-// contextOn derives one day's context from its date alone: weekday,
-// ISO week, month and year from the time package, holidays from the
-// country's calendar for that year. Stepped contexts must equal it.
+// contextOn derives one day's context from its date alone: weekday
+// and month from the time package, season from the hemisphere,
+// holidays from the country's calendar for that year. Memoized
+// contexts must equal it.
 func contextOn(country string, date time.Time) Context {
 	hemisphere := geo.Northern
 	if c, err := geo.Lookup(country); err == nil {
 		hemisphere = c.Hemisphere
 	}
 	cal := geo.NewCalendar(country, date.Year())
-	_, week := date.ISOWeek()
-	return Context{
-		DayOfWeek:  date.Weekday(),
-		WeekOfYear: week,
-		Month:      date.Month(),
-		Season:     geo.SeasonOf(date, hemisphere),
-		Year:       date.Year(),
-		Holiday:    cal.IsHoliday(date.YearDay()),
-		WorkingDay: cal.IsWorkingDay(date.YearDay()),
-	}
+	return newContext(date.Weekday(), date.Month(), geo.SeasonOf(date, hemisphere),
+		cal.IsHoliday(date.YearDay()), cal.IsWorkingDay(date.YearDay()))
+}
+
+// describe spells out a context's fields for failure messages.
+func describe(c Context) string {
+	return fmt.Sprintf("#%d{%s %s %s holiday=%t working=%t}", uint16(c), c.DayOfWeek(), c.Month(), c.Season(), c.Holiday(), c.WorkingDay())
 }
 
 // calendarDataset is an n-day dataset carrying only what Enrich reads.
@@ -41,7 +41,7 @@ func checkContexts(t *testing.T, d *VehicleDataset) {
 	}
 	for i := range d.Context {
 		if want := contextOn(d.Country, d.Date(i)); d.Context[i] != want {
-			t.Fatalf("%s day %d (%s): context %+v, want %+v", d.VehicleID, i, d.Date(i).Format("2006-01-02"), d.Context[i], want)
+			t.Fatalf("%s day %d (%s): context %s, want %s", d.VehicleID, i, d.Date(i).Format("2006-01-02"), describe(d.Context[i]), describe(want))
 		}
 	}
 }
@@ -50,22 +50,35 @@ func checkContexts(t *testing.T, d *VehicleDataset) {
 // the non-Christian holiday set and an unknown code.
 var calendarCountries = []string{"IT", "SA", "AU", "CN", "XX"}
 
-// TestEnrichMatchesPerDateDerivation: stepping the civil date gives
-// every day the context its own date gives it, across month, leap-year
-// and year boundaries and the 53-week ISO years 2015 and 2020.
+// TestEnrichMatchesPerDateDerivation: copying runs out of the per-year
+// memo gives every day the context its own date gives it, for runs
+// that start mid-year, end on a year's last day, stay inside one year
+// or cross several, leap days and a common centennial year included.
 func TestEnrichMatchesPerDateDerivation(t *testing.T) {
 	spans := []struct {
-		start time.Time
+		start string
 		days  int
 	}{
-		{time.Date(2015, time.December, 20, 0, 0, 0, 0, time.UTC), 1900},
-		{time.Date(2016, time.February, 28, 0, 0, 0, 0, time.UTC), 3},
-		{time.Date(2020, time.December, 31, 0, 0, 0, 0, time.UTC), 1},
-		{time.Date(1999, time.December, 31, 0, 0, 0, 0, time.UTC), 400},
+		{"2015-12-20", 1900},
+		{"2016-02-28", 3},
+		{"2015-02-28", 2},
+		{"2020-12-31", 1},
+		{"2019-12-31", 2},
+		{"2020-01-01", 366},
+		{"2020-01-01", 367},
+		{"2017-06-15", 200},
+		{"2015-07-04", 1369},
+		{"1999-12-31", 400},
+		{"2099-03-01", 400},
+		{"2018-05-05", 0},
 	}
 	for _, country := range calendarCountries {
 		for _, s := range spans {
-			d := calendarDataset(country, s.start, s.days)
+			start, err := time.Parse(time.DateOnly, s.start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := calendarDataset(country, start, s.days)
 			d.Enrich()
 			checkContexts(t, d)
 		}
@@ -92,7 +105,7 @@ func TestEnrichExplicitDates(t *testing.T) {
 		sub.Enrich()
 		for k := range kept {
 			if sub.Context[k] != kept[k] {
-				t.Fatalf("%s subset day %d: re-enriched %+v, kept %+v", country, k, sub.Context[k], kept[k])
+				t.Fatalf("%s subset day %d: re-enriched %s, kept %s", country, k, describe(sub.Context[k]), describe(kept[k]))
 			}
 		}
 		checkContexts(t, sub)
@@ -131,7 +144,7 @@ func TestEnrichFromMatchesEnrich(t *testing.T) {
 		fresh.Enrich()
 		for i := range fresh.Context {
 			if e.Context[i] != fresh.Context[i] {
-				t.Fatalf("%s day %d: incremental %+v, full %+v", country, i, e.Context[i], fresh.Context[i])
+				t.Fatalf("%s day %d: incremental %s, full %s", country, i, describe(e.Context[i]), describe(fresh.Context[i]))
 			}
 		}
 	}
@@ -154,6 +167,115 @@ func TestEnrichFromBounds(t *testing.T) {
 	d.Hours, d.Observed = d.Hours[:4], d.Observed[:4]
 	d.EnrichFrom(4)
 	checkContexts(t, d)
+}
+
+// TestContextPacking: every combination of calendar fields packs into
+// its own class below NumContexts and unpacks to the same fields.
+func TestContextPacking(t *testing.T) {
+	seen := make(map[Context]bool, NumContexts)
+	for m := time.January; m <= time.December; m++ {
+		for s := geo.Season(0); s < 4; s++ {
+			for _, work := range []bool{false, true} {
+				for _, hol := range []bool{false, true} {
+					for wd := time.Sunday; wd <= time.Saturday; wd++ {
+						c := newContext(wd, m, s, hol, work)
+						if int(c) >= NumContexts || seen[c] {
+							t.Fatalf("%s %s %s holiday=%t working=%t: class %d out of range or reused", wd, m, s, hol, work, c)
+						}
+						seen[c] = true
+						if c.DayOfWeek() != wd || c.Month() != m || c.Season() != s || c.Holiday() != hol || c.WorkingDay() != work {
+							t.Fatalf("%s %s %s holiday=%t working=%t: unpacked %s", wd, m, s, hol, work, describe(c))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestContextMemo: each memoized year holds one context per day, equal
+// to the per-date derivation, for every registered country and the
+// unknown codes, which all share one year array.
+func TestContextMemo(t *testing.T) {
+	codes := append(geo.Codes(), calendarCountries...)
+	for _, code := range codes {
+		for _, year := range []int{1999, 2000, 2015, 2016, 2019, 2020, 2100} {
+			days := yearContexts(calendarCode(code), year)
+			jan1 := time.Date(year, time.January, 1, 0, 0, 0, 0, time.UTC)
+			if n := time.Date(year, time.December, 31, 0, 0, 0, 0, time.UTC).YearDay(); len(days) != n {
+				t.Fatalf("%s %d: %d memoized days, want %d", code, year, len(days), n)
+			}
+			for i, c := range days {
+				date := jan1.AddDate(0, 0, i)
+				if want := contextOn(code, date); c != want {
+					t.Fatalf("%s %s: memoized %s, want %s", code, date.Format("2006-01-02"), describe(c), describe(want))
+				}
+			}
+		}
+	}
+	unknown := yearContexts(calendarCode("XX"), 2017)
+	for _, code := range []string{"", "ZZ", "xx"} {
+		if days := yearContexts(calendarCode(code), 2017); &days[0] != &unknown[0] {
+			t.Errorf("unknown code %q has its own memo entry", code)
+		}
+	}
+}
+
+// TestToTableCalendarColumns: the relational form's calendar columns
+// come out as the per-day calendar gives them: the ISO week and the
+// year (now read from the date) as geo.Calendar numbers them, across
+// the 53-week ISO years 2015 and 2020, and the packed fields unpacked.
+// It covers a contiguous and an explicit-dates dataset.
+func TestToTableCalendarColumns(t *testing.T) {
+	for _, country := range calendarCountries {
+		d := calendarDataset(country, time.Date(2014, time.December, 25, 0, 0, 0, 0, time.UTC), 2300)
+		d.Channels = map[string][]float64{}
+		for _, ch := range canbus.AnalogChannels() {
+			d.Channels[ch] = make([]float64, d.Len())
+		}
+		d.Enrich()
+		var indices []int
+		for i := d.Len() - 1; i >= 0; i -= 1 + i%9 {
+			indices = append(indices, i)
+		}
+		sub, err := d.Subset(indices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ds := range []*VehicleDataset{d, sub} {
+			tab, err := ds.ToTable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ints := func(name string) []int64 {
+				col, err := tab.IntCol(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return col
+			}
+			bools := func(name string) []bool {
+				col, err := tab.BoolCol(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return col
+			}
+			dow, week, month, season, year := ints("day_of_week"), ints("week_of_year"), ints("month"), ints("season"), ints("year")
+			holiday, working := bools("holiday"), bools("working_day")
+			for i := 0; i < ds.Len(); i++ {
+				date := ds.Date(i)
+				cal := geo.NewCalendar(country, date.Year())
+				want := contextOn(country, date)
+				got := []any{dow[i], week[i], month[i], season[i], year[i], holiday[i], working[i]}
+				exp := []any{int64(want.DayOfWeek()), int64(cal.ISOWeek(date.YearDay())), int64(want.Month()), int64(want.Season()),
+					int64(cal.Year()), want.Holiday(), want.WorkingDay()}
+				if !reflect.DeepEqual(got, exp) {
+					t.Fatalf("%s %s: calendar columns %v, want %v", country, date.Format("2006-01-02"), got, exp)
+				}
+			}
+		}
+	}
 }
 
 func BenchmarkEnrich(b *testing.B) {

@@ -34,7 +34,7 @@ type VehicleDataset struct {
 	Hours     []float64
 	// Channels maps channel name to its aligned daily aggregate.
 	Channels map[string][]float64
-	// Context holds the per-day contextual enrichment.
+	// Context holds the per-day contextual enrichment, two bytes a day.
 	Context []Context
 	// Observed flags days for which at least one report arrived; days
 	// lost to connectivity outages are false and are repaired by the
@@ -67,7 +67,7 @@ func (d *VehicleDataset) Date(i int) time.Time {
 func (d *VehicleDataset) SizeBytes() int64 {
 	const (
 		headerBytes  = 96 // struct itself: strings, Start, slice headers
-		contextBytes = 56 // Context: 5 int-sized fields + 2 bools, padded
+		contextBytes = 2  // Context: the day's packed feature class
 		sliceHeader  = 24
 		mapEntry     = 48 // map bucket share + string key header
 	)
@@ -446,7 +446,8 @@ func (d *VehicleDataset) Subset(indices []int) (*VehicleDataset, error) {
 
 // ToTable transforms the dataset into its relational form
 // (preparation step v). The schema is one row per day with the
-// utilization target, every channel and the contextual features.
+// utilization target, every channel and the contextual features; the
+// ISO week and the year are derived from the day's date.
 func (d *VehicleDataset) ToTable() (*relational.Table, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -474,19 +475,20 @@ func (d *VehicleDataset) ToTable() (*relational.Table, error) {
 	}
 	tab := relational.NewTable(schema)
 	for i := 0; i < d.Len(); i++ {
-		ctx := d.Context[i]
+		ctx, date := d.Context[i], d.Date(i)
+		_, week := date.ISOWeek()
 		row := []relational.Value{
 			d.VehicleID,
-			d.Date(i),
+			date,
 			d.Hours[i],
 			d.Observed[i],
-			int64(ctx.DayOfWeek),
-			int64(ctx.WeekOfYear),
-			int64(ctx.Month),
-			int64(ctx.Season),
-			int64(ctx.Year),
-			ctx.Holiday,
-			ctx.WorkingDay,
+			int64(ctx.DayOfWeek()),
+			int64(week),
+			int64(ctx.Month()),
+			int64(ctx.Season()),
+			int64(date.Year()),
+			ctx.Holiday(),
+			ctx.WorkingDay(),
 		}
 		for _, ch := range channels {
 			row = append(row, d.Channels[ch][i])

@@ -8,6 +8,7 @@ import (
 
 	"vup/internal/canbus"
 	"vup/internal/fleet"
+	"vup/internal/geo"
 	"vup/internal/randx"
 	"vup/internal/telematics"
 )
@@ -60,24 +61,24 @@ func TestEnrichContext(t *testing.T) {
 	d := testDataset(t, 400)
 	// 2015-01-01 was a Thursday and a holiday (New Year).
 	ctx := d.Context[0]
-	if ctx.DayOfWeek != time.Thursday {
-		t.Errorf("dow = %v", ctx.DayOfWeek)
+	if ctx.DayOfWeek() != time.Thursday {
+		t.Errorf("dow = %v", ctx.DayOfWeek())
 	}
-	if !ctx.Holiday || ctx.WorkingDay {
-		t.Errorf("New Year context = %+v", ctx)
+	if !ctx.Holiday() || ctx.WorkingDay() {
+		t.Errorf("New Year context = %s", describe(ctx))
 	}
-	if ctx.Year != 2015 || ctx.Month != time.January {
-		t.Errorf("calendar fields = %+v", ctx)
+	if ctx.Month() != time.January || ctx.Season() != geo.Winter {
+		t.Errorf("calendar fields = %s", describe(ctx))
 	}
 	// Christmas 2015 (index 358).
 	xmas := d.Context[358]
-	if !xmas.Holiday {
-		t.Errorf("Christmas not flagged: %+v (date %v)", xmas, d.Date(358))
+	if !xmas.Holiday() {
+		t.Errorf("Christmas not flagged: %s (date %v)", describe(xmas), d.Date(358))
 	}
 	// A regular Italian Wednesday: 2015-03-04 (index 62).
 	wed := d.Context[62]
-	if wed.DayOfWeek != time.Wednesday || !wed.WorkingDay || wed.Holiday {
-		t.Errorf("regular day context = %+v", wed)
+	if wed.DayOfWeek() != time.Wednesday || !wed.WorkingDay() || wed.Holiday() {
+		t.Errorf("regular day context = %s", describe(wed))
 	}
 }
 
@@ -308,7 +309,7 @@ func TestCleanFromMatchesClean(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				d.Hours = append(d.Hours, float64(i))
 				d.Observed = append(d.Observed, i != 2)
-				d.Context = append(d.Context, Context{})
+				d.Context = append(d.Context, 0)
 				for name := range d.Channels {
 					d.Channels[name] = append(d.Channels[name], float64(i))
 				}

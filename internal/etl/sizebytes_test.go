@@ -21,10 +21,11 @@ func TestSizeBytes(t *testing.T) {
 			big.SizeBytes(), small.SizeBytes())
 	}
 
-	// Per-day floor: hours + observed + context already cost 65 bytes
-	// a day before channels; anything under that means a term dropped.
-	if n, got := int64(small.Len()), small.SizeBytes(); got < n*65 {
-		t.Fatalf("SizeBytes = %d for %d days, below the %d per-day floor", got, n, n*65)
+	// Per-day floor: hours (8) + observed (1) + context (2) already
+	// cost 11 bytes a day before channels; anything under that means a
+	// term dropped.
+	if n, got := int64(small.Len()), small.SizeBytes(); got < n*11 {
+		t.Fatalf("SizeBytes = %d for %d days, below the %d per-day floor", got, n, n*11)
 	}
 
 	// A clone with one extra channel must charge for it.

@@ -18,5 +18,6 @@
 // ([MaterializeContext]): it resolves the dataset's columns once and
 // gathers rows straight from them, value-identical to Spec, without
 // copying the series. The context encoding of a gathered row is copied
-// from a table of every calendar context, built once per process.
+// from a table of every calendar context, built once per process and
+// indexed by the day's packed [vup/internal/etl.Context] class.
 package featsel

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vup/internal/etl"
-	"vup/internal/geo"
 	"vup/internal/stats"
 )
 
@@ -136,7 +135,7 @@ func contextFeatures(c etl.Context) []float64 {
 // cannot diverge.
 func fillContext(dst []float64, c etl.Context) {
 	for wd := time.Sunday; wd <= time.Saturday; wd++ {
-		if c.DayOfWeek == wd {
+		if c.DayOfWeek() == wd {
 			dst[wd] = 1
 		} else {
 			dst[wd] = 0
@@ -144,64 +143,42 @@ func fillContext(dst []float64, c etl.Context) {
 	}
 	k := 7
 	dst[k] = 0
-	if c.Holiday {
+	if c.Holiday() {
 		dst[k] = 1
 	}
 	k++
 	dst[k] = 0
-	if c.WorkingDay {
+	if c.WorkingDay() {
 		dst[k] = 1
 	}
 	k++
 	for season := 0; season < 4; season++ {
-		if int(c.Season) == season {
+		if int(c.Season()) == season {
 			dst[k+season] = 1
 		} else {
 			dst[k+season] = 0
 		}
 	}
 	k += 4
-	dst[k], dst[k+1] = monthCircle(c.Month)
+	dst[k], dst[k+1] = monthCircle(c.Month())
 }
 
-// contextTable holds the encoding of every in-range context, so a
-// gathered row copies its context columns instead of re-deriving them
-// (the month's cosine and sine included). Row i is the context with
-// month i/112+1, season i/28%4, working day i/14%2, holiday i/7%2 and
-// weekday i%7. fillContext builds it, so the encodings cannot diverge.
+// contextTable holds the encoding of every context class, row c for
+// etl.Context(c), so a gathered row copies its context columns instead
+// of re-deriving them (the month's cosine and sine included).
+// fillContext builds it, so the encodings cannot diverge.
 var contextTable = func() []float64 {
-	const n = 12 * 4 * 2 * 2 * 7
-	t := make([]float64, n*contextWidth)
-	for i := range n {
-		fillContext(t[i*contextWidth:(i+1)*contextWidth], etl.Context{
-			Month:      time.Month(i/112 + 1),
-			Season:     geo.Season(i / 28 % 4),
-			WorkingDay: i/14%2 == 1,
-			Holiday:    i/7%2 == 1,
-			DayOfWeek:  time.Weekday(i % 7),
-		})
+	t := make([]float64, etl.NumContexts*contextWidth)
+	for c := range etl.NumContexts {
+		fillContext(t[c*contextWidth:(c+1)*contextWidth], etl.Context(c))
 	}
 	return t
 }()
 
 // encodeContext writes c's encoding into dst (len contextWidth),
-// exactly as fillContext does: copied from contextTable, or computed
-// when a field is out of range.
+// exactly as fillContext does, by copying its row of contextTable.
 func encodeContext(dst []float64, c etl.Context) {
-	wd, s, m := uint(c.DayOfWeek), uint(c.Season), uint(c.Month-1)
-	if wd >= 7 || s >= 4 || m >= 12 {
-		fillContext(dst, c)
-		return
-	}
-	i := (m*4 + s) * 4
-	if c.WorkingDay {
-		i += 2
-	}
-	if c.Holiday {
-		i++
-	}
-	i = i*7 + wd
-	copy(dst, contextTable[i*contextWidth:(i+1)*contextWidth])
+	copy(dst, contextTable[int(c)*contextWidth:(int(c)+1)*contextWidth])
 }
 
 // monthCircle encodes the month on the unit circle so December and

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vup/internal/etl"
-	"vup/internal/geo"
 	"vup/internal/randx"
 )
 
@@ -477,39 +476,31 @@ func benchView(full *etl.VehicleDataset, k int) *etl.VehicleDataset {
 	return v
 }
 
-// TestEncodeContextMatchesFill: gathered rows copy exactly
-// fillContext's encoding for every in-range context, and out-of-range
-// fields fall back to fillContext.
+// TestEncodeContextMatchesFill: every context class copies exactly
+// fillContext's encoding, and that encoding spells out the class's
+// unpacked fields.
 func TestEncodeContextMatchesFill(t *testing.T) {
-	check := func(c etl.Context) {
-		t.Helper()
+	for i := range etl.NumContexts {
+		c := etl.Context(i)
 		got, want := make([]float64, contextWidth), make([]float64, contextWidth)
 		encodeContext(got, c)
 		fillContext(want, c)
 		if !bitsEqual(got, want) {
-			t.Fatalf("%+v: encoded %v, want %v", c, got, want)
+			t.Fatalf("class %d: encoded %v, want %v", i, got, want)
 		}
-	}
-	for m := time.January; m <= time.December; m++ {
-		for s := geo.Season(0); s < 4; s++ {
-			for _, work := range []bool{false, true} {
-				for _, hol := range []bool{false, true} {
-					for wd := time.Sunday; wd <= time.Saturday; wd++ {
-						check(etl.Context{DayOfWeek: wd, Month: m, Season: s, Holiday: hol, WorkingDay: work, Year: 2017, WeekOfYear: 9})
-					}
-				}
-			}
+		hot := make([]float64, 7+1+1+4)
+		hot[c.DayOfWeek()] = 1
+		if c.Holiday() {
+			hot[7] = 1
 		}
-	}
-	for _, c := range []etl.Context{
-		{DayOfWeek: 7, Month: time.May},
-		{DayOfWeek: -1, Month: time.May},
-		{Month: 0},
-		{Month: 13, Holiday: true},
-		{Month: time.June, Season: 9, WorkingDay: true},
-		{Month: time.June, Season: -1},
-	} {
-		check(c)
+		if c.WorkingDay() {
+			hot[8] = 1
+		}
+		hot[9+int(c.Season())] = 1
+		x, y := monthCircle(c.Month())
+		if !bitsEqual(got, append(hot, x, y)) {
+			t.Fatalf("class %d (%s %s %s holiday=%t working=%t): encoded %v", i, c.DayOfWeek(), c.Month(), c.Season(), c.Holiday(), c.WorkingDay(), got)
+		}
 	}
 }
 

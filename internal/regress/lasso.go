@@ -76,7 +76,11 @@ func (m *Lasso) fit(x [][]float64, y []float64, exact bool) (fellBack bool, err 
 	m.means = make([]float64, p)
 	m.stds = make([]float64, p)
 	cols := make([][]float64, p)
-	colBuf := make([]float64, n*p)
+	// Every entry is written below, and both solvers (the certificate
+	// included) are done with the columns when fit returns.
+	colPtr := lassoCols.get(n * p)
+	defer lassoCols.put(colPtr)
+	colBuf := *colPtr
 	for j := 0; j < p; j++ {
 		col := colBuf[j*n : (j+1)*n : (j+1)*n]
 		var sum float64

@@ -96,10 +96,14 @@ func (m *Linear) ridge() float64 {
 // factored in place, so the fit holds one q×q matrix. When they do not
 // factorize, the penalty is strengthened tenfold at a time; since the
 // failed attempt overwrote the Gram, each retry rebuilds it, bit for
-// bit, and adds every boost so far in order.
+// bit, and adds every boost so far in order. The q×q array comes from
+// a pool and goes back once the solve has read the factor.
 func ridgeSolve(x [][]float64, y []float64, lambda float64) ([]float64, error) {
 	q := len(x[0]) + 1
-	ata := linalg.NewMatrix(q, q)
+	gram := ridgeGram.get(q * q)
+	defer ridgeGram.put(gram)
+	clear(*gram) // normalEquations adds into it
+	ata := &linalg.Matrix{Rows: q, Cols: q, Data: *gram}
 	aty := make([]float64, q)
 	ab := make([]float64, 2*q)
 	normalEquations(ata.Data, aty, ab, x, y, lambda)

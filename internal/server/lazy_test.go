@@ -616,8 +616,11 @@ func corruptSnapshot(t *testing.T, dirPath, vehicleID string) {
 // study-length fleet once, under a two-vehicle budget and with no
 // forecast cache, must not leave a full-length plan per vehicle alive.
 // The plan seed a point forecast leaves is a forecast plan over the
-// last W+MaxLag days, so the live heap grows by well under a quarter
-// of one full-length materialization per vehicle.
+// last W+MaxLag days holding their columns (hours, observed, the 2-byte
+// context and the configured channels), so the live heap grows by
+// under a quarter of a per-day lag copy of that window per vehicle. A
+// seed that copied the window's lag rows, or kept 56-byte contexts,
+// would fail.
 func TestForecastSeedsStayBounded(t *testing.T) {
 	const vehicles, days = 24, 1369
 	f, err := fleet.Generate(fleet.Config{Units: 1, Days: days, Seed: 7, Start: fleet.StudyStart})
@@ -655,7 +658,8 @@ func TestForecastSeedsStayBounded(t *testing.T) {
 	for i := range allLags {
 		allLags[i] = i + 1
 	}
-	fullBytes := int64(days * mat.RowWidth(allLags) * 8)
+	window := cfg.W + cfg.MaxLag
+	windowBytes := int64(window * mat.RowWidth(allLags) * 8)
 
 	forecast := func(id string) {
 		rec := httptest.NewRecorder()
@@ -679,8 +683,8 @@ func TestForecastSeedsStayBounded(t *testing.T) {
 	}
 	grew := (heap() - before) / int64(len(ids)-1)
 	runtime.KeepAlive(api)
-	if grew >= fullBytes/4 {
-		t.Fatalf("live heap grew %d B per forecast vehicle, want < %d B (a quarter of one %d-day materialization)", grew, fullBytes/4, days)
+	if grew >= windowBytes/4 {
+		t.Fatalf("live heap grew %d B per forecast vehicle, want < %d B (a quarter of a per-day lag copy of the %d-day window)", grew, windowBytes/4, window)
 	}
-	t.Logf("live heap grew %d B per vehicle; one full materialization is %d B", grew, fullBytes)
+	t.Logf("live heap grew %d B per vehicle; a per-day lag copy of the %d-day window is %d B", grew, window, windowBytes)
 }
